@@ -13,14 +13,14 @@
 //	mpich2ib-bench -coll bcast,reduce -np 16 -ppn 4     # algorithm sweep
 //	mpich2ib-bench -coll bcast -coll-alg bcast=binomial # one algorithm
 //	mpich2ib-bench -coll allreduce -net fattree-d4-u1   # contended fat tree
-//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -coll-out BENCH_coll.json      # baseline
-//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -coll-compare BENCH_coll.json  # CI gate
+//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -out BENCH_coll.json      # baseline
+//	mpich2ib-bench -coll allreduce,alltoall -np 16 -ppn 1 -compare BENCH_coll.json  # CI gate
 //	mpich2ib-bench -connect eager,lazy                  # footprint vs np
 //	mpich2ib-bench -connect lazy -nps 8,64,512          # chosen job sizes
 //	mpich2ib-bench -rails 1,2,4                         # bandwidth vs rails
 //	mpich2ib-bench -rails 1,2 -rail-policy weighted     # chosen eager policy
-//	mpich2ib-bench -rails 1,2,4 -rails-out BENCH_rails.json      # baseline
-//	mpich2ib-bench -rails 1,2,4 -rails-compare BENCH_rails.json  # CI gate
+//	mpich2ib-bench -rails 1,2,4 -out BENCH_rails.json      # baseline
+//	mpich2ib-bench -rails 1,2,4 -compare BENCH_rails.json  # CI gate
 //	mpich2ib-bench -faults 0,2,4,8                      # resilience sweep
 //	mpich2ib-bench -faults 4 -fault-seed 7              # one seeded schedule
 //
@@ -35,6 +35,12 @@
 // collectives on one np × ppn layout, one series per algorithm. -coll-alg
 // restricts a collective to one forced algorithm (the same override
 // cluster.Config.Tuning threads into any run).
+//
+// -out and -compare write and gate the machine-readable baseline of the
+// -rails or -coll sweep that runs (BENCH_rails.json, BENCH_coll.json;
+// DESIGN.md §12): simulated points must match exactly and the harness
+// wall clock may regress only within the family's tolerance. With -coll
+// they measure both the flat wire and the contended fat tree.
 //
 // The -connect flag sweeps connection management (DESIGN.md §9): memory
 // footprint and connection count versus job size for eager (the paper's
@@ -57,6 +63,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -75,16 +82,12 @@ func main() {
 	ppn := flag.Int("ppn", 4, "ranks per node for -coll sweeps")
 	iters := flag.Int("iters", 10, "measured calls per point for -coll sweeps")
 	net := flag.String("net", "flat", "network model for -coll sweeps: flat, or fattree-dD-uU (D nodes per leaf, U uplinks)")
-	collOut := flag.String("coll-out", "", "with -coll: measure flat AND the contended fat tree and write the records as JSON (the BENCH_coll.json baseline)")
-	collCompare := flag.String("coll-compare", "", "with -coll: measure both nets and compare against this baseline — simulated times exactly, wall clock within -coll-tolerance")
-	collTolerance := flag.Float64("coll-tolerance", 1.0, "allowed wall-clock regression for -coll-compare (walls are sub-second, so generous)")
 	connect := flag.String("connect", "", "connection-management sweep (comma list of eager, lazy): footprint-vs-np figures + setup-latency ablation; overrides -fig")
 	nps := flag.String("nps", "", "rank counts for -connect sweeps, e.g. 8,16,32 (default 8..512)")
 	rails := flag.String("rails", "", "multi-rail sweep (comma list of rail counts, e.g. 1,2,4): bandwidth-vs-rails figure + rail-policy comparison + striping-threshold ablation; overrides -fig")
 	railPolicy := flag.String("rail-policy", "round-robin", "eager rail policy for -rails sweeps: round-robin, weighted or fixed")
-	railsOut := flag.String("rails-out", "", "with -rails: write the bandwidth records as JSON (the BENCH_rails.json baseline)")
-	railsCompare := flag.String("rails-compare", "", "with -rails: compare against this baseline — simulated bandwidth exactly, wall clock within -rails-tolerance")
-	railsTolerance := flag.Float64("rails-tolerance", 0.5, "allowed wall-clock regression for -rails-compare (walls are seconds-scale, so generous)")
+	out := flag.String("out", "", "with -rails or -coll: write the sweep's records as JSON (the BENCH_rails.json or BENCH_coll.json baseline)")
+	compare := flag.String("compare", "", "with -rails or -coll: gate the sweep against this baseline — simulated points exactly, wall clock within the family's tolerance")
 	faults := flag.String("faults", "", "resilience sweep (comma list of per-run failure counts, e.g. 0,2,4,8): completed traffic + recovery latency vs failure rate on the lazy SRQ rails=2 stack; overrides -fig")
 	faultSeed := flag.Int64("fault-seed", 1, "schedule seed base for -faults sweeps (same seed, same schedule, same run)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path")
@@ -103,6 +106,11 @@ func main() {
 		fmt.Println("collective algorithms:", strings.Join(mpi.Algorithms(), " "))
 		fmt.Println("rail policies: round-robin weighted fixed")
 		return
+	}
+
+	if (*out != "" || *compare != "") && (*rails == "") == (*coll == "") {
+		fmt.Fprintln(os.Stderr, "mpich2ib-bench: -out and -compare need exactly one of -rails or -coll")
+		os.Exit(2)
 	}
 
 	if *faults != "" {
@@ -130,26 +138,8 @@ func main() {
 		fmt.Println(bench.FormatFigure(bench.RailsFigure(rep)))
 		fmt.Println(bench.FormatFigure(bench.RailPolicyFigure()))
 		fmt.Println(bench.FormatFigure(bench.AblationRailStripe()))
-		if *railsOut != "" {
-			if err := bench.WriteRailsReport(*railsOut, rep); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("wrote %s\n", *railsOut)
-		}
-		if *railsCompare != "" {
-			base, err := bench.ReadRailsReport(*railsCompare)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if errs := bench.CompareRailsReports(base, rep, *railsTolerance); len(errs) > 0 {
-				for _, e := range errs {
-					fmt.Fprintf(os.Stderr, "FAIL: %v\n", e)
-				}
-				os.Exit(1)
-			}
-			fmt.Printf("within tolerance of %s (%.0f%%)\n", *railsCompare, 100**railsTolerance)
+		if code := bench.Publish(rep, *out, false, *compare); code != 0 {
+			os.Exit(code)
 		}
 		return
 	}
@@ -185,17 +175,13 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		known := map[string]bool{}
-		for _, c := range mpi.Collectives() {
-			known[c] = true
-		}
 		var names []string
 		for _, name := range strings.Split(*coll, ",") {
 			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}
-			if !known[name] {
+			if !slices.Contains(mpi.Collectives(), name) {
 				fmt.Fprintf(os.Stderr, "mpich2ib-bench: unknown collective %q (have %s)\n",
 					name, strings.Join(mpi.Collectives(), ", "))
 				os.Exit(1)
@@ -205,35 +191,13 @@ func main() {
 
 		// Baseline modes measure flat AND the canonical contended fat tree,
 		// so one record set pins both sides of the topology crossovers.
-		if *collOut != "" || *collCompare != "" {
-			rep, err := bench.MeasureColl(names, *np, *ppn, sz, *iters)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
+		if *out != "" || *compare != "" {
+			rep := bench.MeasureColl(names, *np, *ppn, sz, *iters)
 			for _, f := range bench.CollFigures(rep) {
 				fmt.Println(bench.FormatFigure(f))
 			}
-			if *collOut != "" {
-				if err := bench.WriteCollReport(*collOut, rep); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Printf("wrote %s\n", *collOut)
-			}
-			if *collCompare != "" {
-				base, err := bench.ReadCollReport(*collCompare)
-				if err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				if errs := bench.CompareCollReports(base, rep, *collTolerance); len(errs) > 0 {
-					for _, e := range errs {
-						fmt.Fprintf(os.Stderr, "FAIL: %v\n", e)
-					}
-					os.Exit(1)
-				}
-				fmt.Printf("within tolerance of %s (%.0f%%)\n", *collCompare, 100**collTolerance)
+			if code := bench.Publish(rep, *out, false, *compare); code != 0 {
+				os.Exit(code)
 			}
 			return
 		}

@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/bench"
@@ -68,10 +69,15 @@ func main() {
 	}
 	defer stopProf()
 
-	cl := nas.Class((*class)[0])
-	if cl != nas.ClassS && cl != nas.ClassA && cl != nas.ClassB {
-		fmt.Fprintln(os.Stderr, "nasbench: class must be S, A or B")
-		os.Exit(1)
+	cl, err := nas.ParseClass(*class)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nasbench:", err)
+		os.Exit(2)
+	}
+	if *benchName != "" && !slices.Contains(nas.Names(), *benchName) {
+		fmt.Fprintf(os.Stderr, "nasbench: unknown -bench %q (have %s)\n",
+			*benchName, strings.Join(nas.Names(), " "))
+		os.Exit(2)
 	}
 	var mode cluster.ConnectMode
 	switch *connect {
@@ -107,8 +113,8 @@ func main() {
 				fmt.Fprintln(os.Stderr, "nasbench: the rail sweep runs the zero-copy design, eager wiring, one rank per node; drop -connect/-srq/-ppn/-transport or use a single -rails count with -bench cg")
 				os.Exit(1)
 			}
-			if *np < 2 || *np&(*np-1) != 0 {
-				fmt.Fprintf(os.Stderr, "nasbench: -np must be a power of two ≥ 2, got %d\n", *np)
+			if err := nas.CheckNP("cg", *np); err != nil {
+				fmt.Fprintln(os.Stderr, "nasbench:", err)
 				os.Exit(1)
 			}
 			fmt.Print(bench.FormatFigure(bench.NASRailSweep(cl, *np, counts, pol)))
@@ -132,16 +138,8 @@ func main() {
 		}
 	}
 
-	// The NPB decompositions constrain the rank count: SP and BT need a
-	// square process grid, everything else a power of two; other counts
-	// would panic deep in a kernel.
-	if nas.SquareOnly(*benchName) {
-		if !isSquare(*np) {
-			fmt.Fprintf(os.Stderr, "nasbench: %s needs a square rank count, got %d\n", *benchName, *np)
-			os.Exit(1)
-		}
-	} else if *np < 2 || *np&(*np-1) != 0 {
-		fmt.Fprintf(os.Stderr, "nasbench: -np must be a power of two ≥ 2, got %d\n", *np)
+	if err := nas.CheckNP(*benchName, *np); err != nil {
+		fmt.Fprintln(os.Stderr, "nasbench:", err)
 		os.Exit(1)
 	}
 
@@ -211,7 +209,7 @@ func main() {
 		cfg.Chan.UseSRQ = *srq
 		cfg.Chan.RailPolicy = pol
 		if *faultRail >= 0 {
-			nodes := (*np + maxInt(*ppn, 1) - 1) / maxInt(*ppn, 1)
+			nodes := (*np + max(*ppn, 1) - 1) / max(*ppn, 1)
 			plan := &fault.Plan{}
 			for n := 0; n < nodes; n++ {
 				plan.Events = append(plan.Events, fault.Event{
@@ -248,21 +246,4 @@ func main() {
 	} {
 		run(tr)
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// isSquare reports whether n is a perfect square ≥ 1 (SP/BT grids).
-func isSquare(n int) bool {
-	for i := 1; i*i <= n; i++ {
-		if i*i == n {
-			return true
-		}
-	}
-	return false
 }

@@ -2,6 +2,9 @@ package bench
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -74,19 +77,31 @@ func CollAlgSweep(coll string, np, cpn int, sizes []int, iters int, base mpi.Tun
 func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) (Figure, error) {
 	algs := mpi.AlgorithmNames(coll) // panics on unknown coll; callers validate
 	if alg := base.Forced(coll); alg != "" {
-		found := false
-		for _, n := range algs {
-			found = found || n == alg
-		}
-		if !found {
+		if !slices.Contains(algs, alg) {
 			return Figure{}, fmt.Errorf("bench: unknown %s algorithm %q (have %v)", coll, alg, algs)
 		}
 		algs = []string{alg}
 	}
+	if algs = applicableAlgs(coll, algs, np, cpn, sw); len(algs) == 0 {
+		return Figure{}, fmt.Errorf("bench: %s/%s is inapplicable on %d ranks × %d per node",
+			coll, base.Forced(coll), np, cpn)
+	}
+	f := Figure{
+		ID: "coll-" + coll,
+		Title: fmt.Sprintf("Collective algorithms: %s (%d ranks, %d per node, root %d, net %s)",
+			coll, np, cpn, collRoot(np), netLabel(sw)),
+		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
+	}
+	for _, a := range algs {
+		f.Series = append(f.Series, collAlgSeries(coll, a, np, cpn, sw, sizes, iters, base))
+	}
+	return f, nil
+}
 
-	// Drop algorithms the layout cannot run: a forced-but-inapplicable
-	// name would silently fall back to the flat algorithm and mislabel
-	// its series. One probe launch asks the world communicator.
+// applicableAlgs drops the algorithms the layout cannot run: a forced
+// but inapplicable name would silently fall back to the flat algorithm
+// and mislabel its series. One probe launch asks the world communicator.
+func applicableAlgs(coll string, algs []string, np, cpn int, sw *switchfab.Config) []string {
 	applicable := map[string]bool{}
 	probe := cluster.MustNew(cluster.Config{NP: np, CoresPerNode: cpn,
 		Transport: cluster.TransportZeroCopy, Switch: sw})
@@ -99,40 +114,55 @@ func CollAlgSweepNet(coll string, np, cpn int, sw *switchfab.Config, sizes []int
 		}
 	})
 	probe.Close()
-	kept := algs[:0]
+	var kept []string
 	for _, a := range algs {
 		if applicable[a] {
 			kept = append(kept, a)
 		}
 	}
-	if len(kept) == 0 {
-		return Figure{}, fmt.Errorf("bench: %s/%s is inapplicable on %d ranks × %d per node",
-			coll, algs[0], np, cpn)
+	return kept
+}
+
+// collRoot is the sweep root, clamped into layouts smaller than the
+// canonical one.
+func collRoot(np int) int { return min(collAlgRoot, np-1) }
+
+// collAlgSeries measures coll with alg forced over the base tuning.
+func collAlgSeries(coll, alg string, np, cpn int, sw *switchfab.Config, sizes []int, iters int, base mpi.Tuning) Series {
+	base.Force(coll, alg)
+	o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &base, Switch: sw}
+	s := CollectiveTime(o, np, sizes, iters, collRunner(coll, np, collRoot(np)))
+	s.Name = coll + "/" + alg
+	return s
+}
+
+// ParseNet maps a -net flag value to a switch configuration: "flat" (or
+// empty) is the direct wire, "fattree-dD-uU" a two-level fat tree with
+// D nodes per leaf and U uplinks per leaf.
+func ParseNet(s string) (*switchfab.Config, error) {
+	if s == "" || s == "flat" {
+		return nil, nil
 	}
-	algs = kept
-	root := collAlgRoot
-	if root >= np {
-		root = np - 1
+	var d, u int
+	if rest, ok := strings.CutPrefix(s, "fattree-d"); ok {
+		if ds, us, ok := strings.Cut(rest, "-u"); ok {
+			var err1, err2 error
+			d, err1 = strconv.Atoi(ds)
+			u, err2 = strconv.Atoi(us)
+			if err1 == nil && err2 == nil && d > 0 && u > 0 {
+				return &switchfab.Config{LeafDown: d, LeafUp: u}, nil
+			}
+		}
 	}
-	net := "flat"
-	if sw != nil {
-		net = sw.Label()
+	return nil, fmt.Errorf("bench: bad net %q (want flat or fattree-dD-uU, e.g. fattree-d4-u1)", s)
+}
+
+// netLabel is ParseNet's inverse.
+func netLabel(sw *switchfab.Config) string {
+	if sw == nil {
+		return "flat"
 	}
-	f := Figure{
-		ID: "coll-" + coll,
-		Title: fmt.Sprintf("Collective algorithms: %s (%d ranks, %d per node, root %d, net %s)",
-			coll, np, cpn, root, net),
-		XLabel: "message size (bytes)", YLabel: "time per call (µs)",
-	}
-	for _, a := range algs {
-		tun := base
-		tun.Force(coll, a)
-		o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn, Tuning: &tun, Switch: sw}
-		s := CollectiveTime(o, np, sizes, iters, collRunner(coll, np, root))
-		s.Name = coll + "/" + a
-		f.Series = append(f.Series, s)
-	}
-	return f, nil
+	return sw.Label()
 }
 
 // AblationCollAlg sweeps every registered bcast, reduce and allgather

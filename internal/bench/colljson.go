@@ -1,29 +1,25 @@
-// Machine-readable collective-algorithm records: the BENCH_coll.json
-// emitter and its comparison mode, the same substrate split as
-// BENCH_engine.json and BENCH_rails.json (DESIGN.md §12/§14). Each run is
-// one (collective, algorithm, network) curve of per-call times; the
-// simulated times are deterministic and compared exactly, so the
-// committed baseline pins both the algorithm schedules and the switch
-// model's contention arithmetic — including the flat/fat-tree crossovers
-// the default tuning table encodes.
+// The BENCH_coll.json family (DESIGN.md §14): each run is one
+// (collective, algorithm, network) curve of per-call times. The simulated
+// times are deterministic and compared exactly, so the committed baseline
+// pins both the algorithm schedules and the switch model's contention
+// arithmetic — including the flat/fat-tree crossovers the default tuning
+// table encodes.
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/switchfab"
 )
 
-// CollSchema identifies the BENCH_coll.json format.
-const CollSchema = "mpich2ib/coll-bench/v1"
+// Coll baseline family: schema tag and the wall regression the gate
+// allows (walls are sub-second, so generous).
+const (
+	CollSchema    = "mpich2ib/coll-bench/v1"
+	CollTolerance = 1.0
+)
 
 // CollPoint is one simulated measurement: message size against the
 // per-call completion time of the collective at it.
@@ -48,63 +44,33 @@ func (r CollRun) key() string {
 	return fmt.Sprintf("coll=%s/alg=%s/net=%s/np=%d/cpn=%d", r.Coll, r.Alg, r.Net, r.NP, r.CPN)
 }
 
-// CollReport is the BENCH_coll.json document.
-type CollReport struct {
-	Schema string    `json:"schema"`
-	Go     string    `json:"go"`
-	Runs   []CollRun `json:"runs"`
+func (r CollRun) exact() []string {
+	items := make([]string, len(r.Points))
+	for i, p := range r.Points {
+		items[i] = fmt.Sprintf("size=%d us=%v", p.Size, p.Us)
+	}
+	return items
 }
 
-// ParseNet maps a -net flag value to a switch configuration: "flat" (or
-// empty) is the direct wire, "fattree-dD-uU" a two-level fat tree with
-// D nodes per leaf and U uplinks per leaf.
-func ParseNet(s string) (*switchfab.Config, error) {
-	if s == "" || s == "flat" {
-		return nil, nil
-	}
-	var d, u int
-	if rest, ok := strings.CutPrefix(s, "fattree-d"); ok {
-		if ds, us, ok := strings.Cut(rest, "-u"); ok {
-			var err1, err2 error
-			d, err1 = strconv.Atoi(ds)
-			u, err2 = strconv.Atoi(us)
-			if err1 == nil && err2 == nil && d > 0 && u > 0 {
-				return &switchfab.Config{LeafDown: d, LeafUp: u}, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("bench: bad net %q (want flat or fattree-dD-uU, e.g. fattree-d4-u1)", s)
+func (r CollRun) wall() (string, float64) { return "wall_sec", r.WallSeconds }
+
+func (CollRun) family() family {
+	return family{CollSchema, CollTolerance, "mpich2ib-bench -coll ... -out"}
 }
 
 // MeasureColl measures every applicable algorithm of each listed
-// collective on the given layout, over the flat wire and over an
-// oversubscribed fat tree (4 nodes per leaf, 1 uplink — the canonical
-// contended model), and returns one run per (collective, algorithm, net).
-func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) (*CollReport, error) {
-	rep := &CollReport{Schema: CollSchema, Go: runtime.Version()}
-	nets := []*switchfab.Config{nil, {LeafDown: 4, LeafUp: 1}}
-	for _, sw := range nets {
-		net := "flat"
-		if sw != nil {
-			net = sw.Label()
-		}
+// collective (callers validate the names) on the given layout, over the
+// flat wire and over an oversubscribed fat tree (4 nodes per leaf, 1
+// uplink — the canonical contended model), and returns one run per
+// (collective, algorithm, net).
+func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) *Report[CollRun] {
+	rep := NewReport[CollRun]()
+	for _, sw := range []*switchfab.Config{nil, {LeafDown: 4, LeafUp: 1}} {
 		for _, coll := range colls {
-			algs, err := applicableAlgs(coll, np, cpn, sw)
-			if err != nil {
-				return nil, err
-			}
-			for _, alg := range algs {
-				tun := mpi.DefaultTuning()
-				tun.Force(coll, alg)
-				o := Options{Transport: cluster.TransportZeroCopy, CoresPerNode: cpn,
-					Tuning: &tun, Switch: sw}
-				root := collAlgRoot
-				if root >= np {
-					root = np - 1
-				}
+			for _, alg := range applicableAlgs(coll, mpi.AlgorithmNames(coll), np, cpn, sw) {
 				start := time.Now()
-				s := CollectiveTime(o, np, sizes, iters, collRunner(coll, np, root))
-				run := CollRun{Coll: coll, Alg: alg, Net: net, NP: np, CPN: cpn,
+				s := collAlgSeries(coll, alg, np, cpn, sw, sizes, iters, mpi.DefaultTuning())
+				run := CollRun{Coll: coll, Alg: alg, Net: netLabel(sw), NP: np, CPN: cpn,
 					WallSeconds: time.Since(start).Seconds()}
 				for _, p := range s.Points {
 					run.Points = append(run.Points, CollPoint{Size: p.Size, Us: p.Value})
@@ -113,142 +79,31 @@ func MeasureColl(colls []string, np, cpn int, sizes []int, iters int) (*CollRepo
 			}
 		}
 	}
-	return rep, nil
-}
-
-// applicableAlgs filters a collective's registry down to the algorithms
-// the given layout can actually run (one probe launch, as CollAlgSweep).
-func applicableAlgs(coll string, np, cpn int, sw *switchfab.Config) ([]string, error) {
-	known := false
-	for _, c := range mpi.Collectives() {
-		known = known || c == coll
-	}
-	if !known {
-		return nil, fmt.Errorf("bench: unknown collective %q (have %s)",
-			coll, strings.Join(mpi.Collectives(), ", "))
-	}
-	algs := mpi.AlgorithmNames(coll)
-	applicable := map[string]bool{}
-	probe := cluster.MustNew(cluster.Config{NP: np, CoresPerNode: cpn,
-		Transport: cluster.TransportZeroCopy, Switch: sw})
-	probe.Launch(func(comm *mpi.Comm) {
-		if comm.Rank() != 0 {
-			return
-		}
-		for _, a := range algs {
-			applicable[a] = comm.AlgorithmApplicable(coll, a)
-		}
-	})
-	probe.Close()
-	kept := []string{}
-	for _, a := range algs {
-		if applicable[a] {
-			kept = append(kept, a)
-		}
-	}
-	return kept, nil
+	return rep
 }
 
 // CollFigures renders the measured records as one figure per network
 // model, one series per collective/algorithm — the printed tables behind
 // the tuning crossovers, always exactly the committed JSON.
-func CollFigures(rep *CollReport) []Figure {
-	order := []string{}
-	byNet := map[string]*Figure{}
+func CollFigures(rep *Report[CollRun]) []Figure {
+	var figs []Figure
+	at := map[string]int{}
 	for _, run := range rep.Runs {
-		f, ok := byNet[run.Net]
+		i, ok := at[run.Net]
 		if !ok {
-			order = append(order, run.Net)
-			f = &Figure{
+			i, at[run.Net] = len(figs), len(figs)
+			figs = append(figs, Figure{
 				ID: "coll-json-" + run.Net,
 				Title: fmt.Sprintf("Collective algorithms on %s (%d ranks, %d per node)",
 					run.Net, run.NP, run.CPN),
 				XLabel: "message size (bytes)", YLabel: "time per call (µs)",
-			}
-			byNet[run.Net] = f
+			})
 		}
 		s := Series{Name: run.Coll + "/" + run.Alg}
 		for _, p := range run.Points {
 			s.Points = append(s.Points, Point{Size: p.Size, Value: p.Us})
 		}
-		f.Series = append(f.Series, s)
-	}
-	figs := make([]Figure, 0, len(order))
-	for _, net := range order {
-		figs = append(figs, *byNet[net])
+		figs[i].Series = append(figs[i].Series, s)
 	}
 	return figs
-}
-
-// WriteCollReport writes the report as indented JSON, newline-terminated
-// so the committed baseline diffs cleanly.
-func WriteCollReport(path string, rep *CollReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadCollReport loads a report and checks its schema tag.
-func ReadCollReport(path string) (*CollReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &CollReport{}
-	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != CollSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, CollSchema)
-	}
-	return rep, nil
-}
-
-// CompareCollReports checks current against a committed baseline with the
-// same contract as the engine and rails gates: simulated per-call times
-// must match the baseline exactly (a divergence means an algorithm
-// schedule or the switch model changed), wall clock may not regress
-// beyond tol, and every measured curve must exist in the baseline.
-// Baseline curves not re-measured are skipped.
-func CompareCollReports(baseline, current *CollReport, tol float64) []error {
-	base := make(map[string]CollRun, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
-	}
-	var errs []error
-	matched := 0
-	for _, cur := range current.Runs {
-		b, ok := base[cur.key()]
-		if !ok {
-			errs = append(errs, fmt.Errorf(
-				"%s: curve missing from baseline — regenerate it with `mpich2ib-bench -coll ... -coll-out` to admit the new algorithm or net",
-				cur.key()))
-			continue
-		}
-		matched++
-		if len(cur.Points) != len(b.Points) {
-			errs = append(errs, fmt.Errorf("%s: %d points, baseline has %d",
-				cur.key(), len(cur.Points), len(b.Points)))
-			continue
-		}
-		for i, p := range cur.Points {
-			if p != b.Points[i] {
-				errs = append(errs, fmt.Errorf(
-					"%s: simulated time diverges at size=%d: %.6g µs, baseline %.6g µs",
-					cur.key(), p.Size, p.Us, b.Points[i].Us))
-			}
-		}
-		if b.WallSeconds > 0 && cur.WallSeconds > b.WallSeconds*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: wall clock regressed %.1f%% (%.2fs vs baseline %.2fs, tolerance %.0f%%)",
-				cur.key(), 100*(cur.WallSeconds/b.WallSeconds-1),
-				cur.WallSeconds, b.WallSeconds, 100*tol))
-		}
-	}
-	if matched == 0 && len(current.Runs) > 0 {
-		errs = append(errs, fmt.Errorf("no current collective curve matches any baseline curve"))
-	}
-	return errs
 }

@@ -1,17 +1,13 @@
-// Machine-readable engine-performance records (DESIGN.md §12): the
-// BENCH_engine.json emitter and its CI comparison mode. Every speed claim
-// about the simulation kernel is a row here — simulated metrics that must
+// The BENCH_engine.json family (DESIGN.md §12): every speed claim about
+// the simulation kernel is a row here — simulated metrics that must
 // reproduce exactly (event count, schedule fingerprint, simulated time,
 // verification) next to harness wall-clock figures (events/sec,
-// wall-clock-per-simulated-second) that a regression gate compares within
-// a tolerance.
+// wall-clock-per-simulated-second).
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -20,16 +16,20 @@ import (
 	"repro/internal/rdmachan"
 )
 
-// EngineSchema identifies the BENCH_engine.json format.
-const EngineSchema = "mpich2ib/engine-bench/v1"
+// Engine baseline family: schema tag and the wall-per-simulated-second
+// regression the gate allows.
+const (
+	EngineSchema    = "mpich2ib/engine-bench/v1"
+	EngineTolerance = 0.15
+)
 
 // EngineRun is one measured engine execution: a NAS kernel at one rank
-// count under one pending-event queue. Events, Fingerprint, SimSeconds and
-// Verified are simulated results — deterministic, compared exactly.
-// WallSeconds and the two derived rates are harness measurements —
-// machine-dependent, compared within a tolerance. With Repeats > 1 the
-// wall figures are the fastest of the repeats (the least-noise estimator);
-// the simulated figures are checked identical across every repeat first.
+// count and shard count. Events, Fingerprint, SimSeconds and Verified are
+// simulated results — deterministic, compared exactly. WallSeconds and
+// the two derived rates are harness measurements — machine-dependent,
+// compared within EngineTolerance. With Repeats > 1 the wall figures are
+// the fastest of the repeats (the least-noise estimator); the simulated
+// figures are checked identical across every repeat first.
 type EngineRun struct {
 	Bench  string `json:"bench"`
 	Class  string `json:"class"`
@@ -52,66 +52,47 @@ type EngineRun struct {
 // key identifies a run for baseline matching. Serial rows written before
 // the sharded engine carry no shards field; they alias shards=1.
 func (r EngineRun) key() string {
-	s := r.Shards
-	if s < 1 {
-		s = 1
+	return fmt.Sprintf("%s.%s/np=%d/%s/shards=%d", r.Bench, r.Class, r.NP, r.Queue, max(r.Shards, 1))
+}
+
+func (r EngineRun) exact() []string {
+	return []string{
+		fmt.Sprintf("events=%d", r.Events),
+		"fp=" + r.Fingerprint,
+		fmt.Sprintf("sim=%vs", r.SimSeconds),
+		fmt.Sprintf("verified=%v", r.Verified),
 	}
-	return fmt.Sprintf("%s.%s/np=%d/%s/shards=%d", r.Bench, r.Class, r.NP, r.Queue, s)
 }
 
-// EngineReport is the BENCH_engine.json document.
-type EngineReport struct {
-	Schema string      `json:"schema"`
-	Go     string      `json:"go"`
-	Runs   []EngineRun `json:"runs"`
-}
+func (r EngineRun) wall() (string, float64) { return "wall_per_simulated_sec", r.WallPerSimSec }
 
-// NewEngineReport starts an empty report stamped with the toolchain.
-func NewEngineReport() *EngineReport {
-	return &EngineReport{Schema: EngineSchema, Go: runtime.Version()}
+func (EngineRun) family() family {
+	return family{EngineSchema, EngineTolerance, "enginebench -out -merge"}
 }
 
 // MeasureEngine runs one NAS kernel at np ranks on the scalable
 // configuration under study (zero-copy transport, lazy connections, SRQ)
-// with the given pending-event queue, repeats times, and returns the
-// measured row. It panics if the simulated results differ between repeats:
+// and the calendar event queue, repeats times, and returns the measured
+// row. shards > 1 runs the sharded execution mode (DESIGN.md §13); its
+// simulated metrics are shard-count-invariant by construction, so a
+// sharded row diverging from a serial row is a bug, not a measurement.
+// MeasureEngine panics if the simulated results differ between repeats:
 // that is a determinism bug, and recording either value would be wrong.
-func MeasureEngine(benchName string, class nas.Class, np, repeats int, kind des.QueueKind) EngineRun {
-	return MeasureEngineSharded(benchName, class, np, repeats, kind, 1)
-}
-
-// MeasureEngineSharded is MeasureEngine on the sharded execution mode
-// (DESIGN.md §13). shards=1 is the serial engine. The simulated metrics
-// are shard-count-invariant by construction — the determinism suites prove
-// fingerprint equality against serial — so a sharded row diverging from a
-// serial baseline row's simulated results is a bug, not a measurement.
-func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, kind des.QueueKind, shards int) EngineRun {
-	if repeats < 1 {
-		repeats = 1
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	run := EngineRun{
-		Bench: benchName, Class: string(class), NP: np,
-		Queue: kind.String(), Shards: shards, Repeats: repeats,
-	}
-	for i := 0; i < repeats; i++ {
-		events, fp, sim, wall, setup, verified := measureEngineOnce(benchName, class, np, kind, shards)
-		if i == 0 {
-			run.Events, run.Fingerprint, run.SimSeconds, run.Verified = events, fp, sim, verified
-			run.WallSeconds, run.SetupSeconds = wall, setup
-			continue
-		}
-		if events != run.Events || fp != run.Fingerprint || sim != run.SimSeconds || verified != run.Verified {
-			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0: events %d vs %d, fp %s vs %s",
-				run.key(), i, events, run.Events, fp, run.Fingerprint))
-		}
-		if wall < run.WallSeconds {
-			run.WallSeconds = wall
-		}
-		if setup < run.SetupSeconds {
-			run.SetupSeconds = setup
+func MeasureEngine(benchName string, class nas.Class, np, repeats, shards int) EngineRun {
+	spec := EngineRun{Bench: benchName, Class: string(class), NP: np,
+		Queue: des.QueueCalendar.String(), Shards: max(shards, 1), Repeats: max(repeats, 1)}
+	var run EngineRun
+	for i := 0; i < spec.Repeats; i++ {
+		r := measureEngineOnce(spec, class)
+		switch {
+		case i == 0:
+			run = r
+		case !slices.Equal(r.exact(), run.exact()):
+			panic(fmt.Sprintf("bench: %s repeat %d diverged from repeat 0: %v vs %v",
+				run.key(), i, r.exact(), run.exact()))
+		default:
+			run.WallSeconds = min(run.WallSeconds, r.WallSeconds)
+			run.SetupSeconds = min(run.SetupSeconds, r.SetupSeconds)
 		}
 	}
 	if run.WallSeconds > 0 {
@@ -123,137 +104,31 @@ func MeasureEngineSharded(benchName string, class nas.Class, np, repeats int, ki
 	return run
 }
 
-// measureEngineOnce executes one run. The wall clock covers the benchmark
-// execution only (the engine's dispatch loop under load); the event count
-// is the delta across it, so cluster construction cost does not dilute the
-// events/sec figure. Construction is timed separately into setupSec — the
-// other scalability axis (the satellite on cluster-construction cost).
-func measureEngineOnce(benchName string, class nas.Class, np int, kind des.QueueKind, shards int) (
-	events uint64, fp string, simSec, wallSec, setupSec float64, verified bool) {
+// measureEngineOnce executes the row spec once. The wall clock covers the
+// benchmark execution only (the engine's dispatch loop under load); the
+// event count is the delta across it, so cluster construction cost does
+// not dilute the events/sec figure. Construction is timed separately into
+// SetupSeconds.
+func measureEngineOnce(run EngineRun, class nas.Class) EngineRun {
 	setupStart := time.Now()
 	c := cluster.MustNew(cluster.Config{
-		NP:          np,
+		NP:          run.NP,
 		Transport:   cluster.TransportZeroCopy,
 		ConnectMode: cluster.ConnectLazy,
 		Chan:        rdmachan.Config{UseSRQ: true},
-		EngineQueue: kind,
-		Shards:      shards,
+		EngineQueue: des.QueueCalendar,
+		Shards:      run.Shards,
 	})
-	setupSec = time.Since(setupStart).Seconds()
+	run.SetupSeconds = time.Since(setupStart).Seconds()
 	defer c.Close()
 	c.Eng.EnableTrace()
 	ev0, sim0 := c.Eng.EventsExecuted(), c.Now()
 	start := time.Now()
-	res := nas.RunOn(c, benchName, class)
-	wallSec = time.Since(start).Seconds()
-	events = c.Eng.EventsExecuted() - ev0
-	simSec = (c.Now() - sim0).Seconds()
-	fp = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
-	verified = res.Verified
-	return
-}
-
-// WriteEngineReport writes the report as indented JSON, newline-terminated
-// so the committed baseline diffs cleanly.
-func WriteEngineReport(path string, rep *EngineReport) error {
-	b, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(b, '\n'), 0o644)
-}
-
-// ReadEngineReport loads a report and checks its schema tag.
-func ReadEngineReport(path string) (*EngineReport, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep := &EngineReport{}
-	if err := json.Unmarshal(b, rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	if rep.Schema != EngineSchema {
-		return nil, fmt.Errorf("%s: schema %q, want %q", path, rep.Schema, EngineSchema)
-	}
-	return rep, nil
-}
-
-// MergeEngineReports overlays update onto base: rows sharing a key are
-// replaced by update's measurement, new keys append in measurement order,
-// and base rows the update did not re-measure survive. This is how the
-// committed baseline is regenerated piecemeal — the np=4096 row takes
-// ~25 minutes, so re-measuring the cheap rows must not force re-measuring
-// it (and vice versa).
-func MergeEngineReports(base, update *EngineReport) *EngineReport {
-	merged := &EngineReport{Schema: EngineSchema, Go: update.Go}
-	replaced := make(map[string]EngineRun, len(update.Runs))
-	for _, r := range update.Runs {
-		replaced[r.key()] = r
-	}
-	for _, r := range base.Runs {
-		if u, ok := replaced[r.key()]; ok {
-			r = u
-			delete(replaced, r.key())
-		}
-		merged.Runs = append(merged.Runs, r)
-	}
-	for _, r := range update.Runs {
-		if _, stillNew := replaced[r.key()]; stillNew {
-			merged.Runs = append(merged.Runs, r)
-		}
-	}
-	return merged
-}
-
-// CompareEngineReports checks current against a committed baseline: for
-// every baseline row that current also measured, the simulated metrics
-// must match exactly (a mismatch means the simulation changed, which is
-// never a mere performance regression), and wall-clock-per-simulated-
-// second may not regress by more than tol (0.15 = 15%). Getting faster is
-// not an error. Baseline rows current did not measure are skipped — the
-// CI smoke compares a subset of the committed matrix — but every measured
-// row MUST exist in the baseline: a new np/queue/shards combination that
-// nothing has vetted is a gate failure, reported with the full measured
-// row so the maintainer can regenerate the baseline deliberately. Returns
-// one error per violated row.
-func CompareEngineReports(baseline, current *EngineReport, tol float64) []error {
-	base := make(map[string]EngineRun, len(baseline.Runs))
-	for _, r := range baseline.Runs {
-		base[r.key()] = r
-	}
-	var errs []error
-	matched := 0
-	for _, cur := range current.Runs {
-		b, ok := base[cur.key()]
-		if !ok {
-			errs = append(errs, fmt.Errorf(
-				"%s: row missing from baseline — measured events=%d fp=%s sim=%gs verified=%v; "+
-					"regenerate the baseline with `enginebench -out -merge` to admit it",
-				cur.key(), cur.Events, cur.Fingerprint, cur.SimSeconds, cur.Verified))
-			continue
-		}
-		matched++
-		if cur.Events != b.Events || cur.Fingerprint != b.Fingerprint ||
-			cur.SimSeconds != b.SimSeconds || cur.Verified != b.Verified {
-			errs = append(errs, fmt.Errorf(
-				"%s: simulated results diverge from baseline:\n"+
-					"  events   %d, baseline %d\n"+
-					"  fp       %s, baseline %s\n"+
-					"  sim      %gs, baseline %gs\n"+
-					"  verified %v, baseline %v",
-				cur.key(), cur.Events, b.Events, cur.Fingerprint, b.Fingerprint,
-				cur.SimSeconds, b.SimSeconds, cur.Verified, b.Verified))
-		}
-		if b.WallPerSimSec > 0 && cur.WallPerSimSec > b.WallPerSimSec*(1+tol) {
-			errs = append(errs, fmt.Errorf(
-				"%s: wall-clock per simulated second regressed %.1f%% (%.1f vs baseline %.1f, tolerance %.0f%%)",
-				cur.key(), 100*(cur.WallPerSimSec/b.WallPerSimSec-1),
-				cur.WallPerSimSec, b.WallPerSimSec, 100*tol))
-		}
-	}
-	if matched == 0 && len(current.Runs) > 0 {
-		errs = append(errs, fmt.Errorf("no current run matches any baseline row"))
-	}
-	return errs
+	res := nas.RunOn(c, run.Bench, class)
+	run.WallSeconds = time.Since(start).Seconds()
+	run.Events = c.Eng.EventsExecuted() - ev0
+	run.SimSeconds = (c.Now() - sim0).Seconds()
+	run.Fingerprint = fmt.Sprintf("%016x", c.Eng.TraceFingerprint())
+	run.Verified = res.Verified
+	return run
 }

@@ -41,7 +41,7 @@ func DefaultRailCounts() []int { return []int{1, 2, 4} }
 // RailBandwidth is the bandwidth-vs-rails figure: the zero-copy design's
 // streaming bandwidth, one series per rail count, with eager chunks on the
 // given policy and large messages striped across all rails. It is rendered
-// from the BENCH_rails.json record substrate (railsjson.go), so the
+// from the BENCH_rails.json records (railsjson.go), so the
 // printed table and a committed baseline can never drift apart.
 func RailBandwidth(railCounts []int, policy rdmachan.RailPolicy) Figure {
 	return RailsFigure(MeasureRails(railCounts, policy))

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -18,13 +21,13 @@ func engRun(np, shards int, events uint64, fp string, wallPerSim float64) Engine
 // comparison, and the error must carry the measured row so the maintainer
 // can regenerate the baseline deliberately.
 func TestCompareEngineMissingRow(t *testing.T) {
-	base := &EngineReport{Schema: EngineSchema,
+	base := &Report[EngineRun]{Schema: EngineSchema,
 		Runs: []EngineRun{engRun(64, 1, 1000, "aaaa", 100)}}
-	cur := &EngineReport{Schema: EngineSchema, Runs: []EngineRun{
+	cur := &Report[EngineRun]{Schema: EngineSchema, Runs: []EngineRun{
 		engRun(64, 1, 1000, "aaaa", 100),
 		engRun(64, 4, 1000, "aaaa", 100), // sharded row nothing has vetted
 	}}
-	errs := CompareEngineReports(base, cur, 0.15)
+	errs := CompareReports(base, cur)
 	if len(errs) != 1 {
 		t.Fatalf("got %d errors, want exactly 1 (the missing row): %v", len(errs), errs)
 	}
@@ -36,70 +39,108 @@ func TestCompareEngineMissingRow(t *testing.T) {
 	}
 }
 
-// TestCompareEngineContract covers the rest of the gate: exact simulated
-// matching, wall tolerance, baseline aliasing of pre-shard rows, and the
-// no-overlap guard.
-func TestCompareEngineContract(t *testing.T) {
-	legacy := engRun(64, 0, 1000, "aaaa", 100) // written before the shards field
-	base := &EngineReport{Schema: EngineSchema, Runs: []EngineRun{legacy}}
+func railsRun(rails int, mbps, wall float64) RailsRun {
+	return RailsRun{Rails: rails, Policy: "round-robin", WallSeconds: wall,
+		Points: []RailsPoint{{Size: 4096, MBps: 500}, {Size: 16384, MBps: mbps}}}
+}
 
-	if errs := CompareEngineReports(base, &EngineReport{Schema: EngineSchema,
-		Runs: []EngineRun{engRun(64, 1, 1000, "aaaa", 110)}}, 0.15); len(errs) != 0 {
-		t.Errorf("shards=1 row should match a legacy pre-shard baseline row: %v", errs)
+func collRun(alg string, us, wall float64) CollRun {
+	return CollRun{Coll: "allreduce", Alg: alg, Net: "flat", NP: 16, CPN: 1, WallSeconds: wall,
+		Points: []CollPoint{{Size: 256, Us: us}, {Size: 1024, Us: 76.1}}}
+}
+
+// contractCase is one baseline family under the shared gate contract:
+// each row is compared against a baseline holding only base.
+type contractCase[R Row] struct {
+	base     R
+	diverged R      // one exact field changed
+	item     string // what the divergence error must name
+	slower   R      // wall metric past the family tolerance
+	faster   R      // wall metric improved
+	other    R      // a key absent from the baseline
+}
+
+func (c contractCase[R]) run(t *testing.T) {
+	rep := func(rows ...R) *Report[R] {
+		r := NewReport[R]()
+		r.Runs = rows
+		return r
 	}
-	if errs := CompareEngineReports(base, &EngineReport{Schema: EngineSchema,
-		Runs: []EngineRun{engRun(64, 1, 1001, "aaaa", 100)}}, 0.15); len(errs) != 1 {
-		t.Errorf("simulated divergence (events) must fail: %v", errs)
+	check := func(what string, errs []error, want ...string) {
+		t.Helper()
+		if len(errs) != len(want) {
+			t.Errorf("%s: got %v, want %d errors", what, errs, len(want))
+			return
+		}
+		for i, w := range want {
+			if !strings.Contains(errs[i].Error(), w) {
+				t.Errorf("%s: error %q lacks %q", what, errs[i], w)
+			}
+		}
 	}
-	if errs := CompareEngineReports(base, &EngineReport{Schema: EngineSchema,
-		Runs: []EngineRun{engRun(64, 1, 1000, "aaaa", 120)}}, 0.15); len(errs) != 1 {
-		t.Errorf("20%% wall regression at 15%% tolerance must fail: %v", errs)
+	base := rep(c.base)
+	check("identical report", CompareReports(base, rep(c.base)))
+	check("simulated divergence", CompareReports(base, rep(c.diverged)), c.item)
+	check("wall regression beyond tolerance", CompareReports(base, rep(c.slower)), "regressed")
+	check("faster run", CompareReports(base, rep(c.faster)))
+	check("unvetted row", CompareReports(base, rep(c.base, c.other)), "missing from baseline")
+	check("disjoint report", CompareReports(base, rep(c.other)),
+		"missing from baseline", "no current row matches")
+}
+
+// TestCompareContract holds every baseline family to the same gate: exact
+// simulated matching, wall within the family tolerance, no silent
+// admission of unvetted rows, and the no-overlap guard.
+func TestCompareContract(t *testing.T) {
+	t.Run("engine", contractCase[EngineRun]{
+		base:     engRun(64, 0, 1000, "aaaa", 100), // pre-shard row: aliases shards=1
+		diverged: engRun(64, 1, 1001, "aaaa", 100),
+		item:     "events=1001",
+		slower:   engRun(64, 1, 1000, "aaaa", 100*(1+EngineTolerance+0.05)),
+		faster:   engRun(64, 1, 1000, "aaaa", 50),
+		other:    engRun(256, 1, 2000, "bbbb", 100),
+	}.run)
+	t.Run("rails", contractCase[RailsRun]{
+		base:     railsRun(2, 700, 1),
+		diverged: railsRun(2, 699, 1),
+		item:     "size=16384",
+		slower:   railsRun(2, 700, 1+RailsTolerance+0.05),
+		faster:   railsRun(2, 700, 0.5),
+		other:    railsRun(8, 700, 1),
+	}.run)
+	t.Run("coll", contractCase[CollRun]{
+		base:     collRun("rabenseifner", 40, 1),
+		diverged: collRun("rabenseifner", 41, 1),
+		item:     "size=256",
+		slower:   collRun("rabenseifner", 40, 1+CollTolerance+0.05),
+		faster:   collRun("rabenseifner", 40, 0.5),
+		other:    collRun("pairwise", 40, 1),
+	}.run)
+}
+
+// roundTrip reads a committed baseline through ReadReport and writes it
+// back with WriteReport; the bytes must not change, which pins the format
+// every reader of these files relies on.
+func roundTrip[R Row](t *testing.T, path string) {
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs := CompareEngineReports(base, &EngineReport{Schema: EngineSchema,
-		Runs: []EngineRun{engRun(64, 1, 1000, "aaaa", 50)}}, 0.15); len(errs) != 0 {
-		t.Errorf("getting faster is not an error: %v", errs)
+	rep, err := ReadReport[R](path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if errs := CompareEngineReports(base, &EngineReport{Schema: EngineSchema,
-		Runs: []EngineRun{engRun(256, 1, 2000, "bbbb", 100)}}, 0.15); len(errs) != 2 {
-		t.Errorf("disjoint row must report missing + no-overlap, got: %v", errs)
+	out := filepath.Join(t.TempDir(), filepath.Base(path))
+	if err := WriteReport(out, rep); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := os.ReadFile(out); !bytes.Equal(got, want) {
+		t.Errorf("%s does not round-trip through ReadReport/WriteReport", path)
 	}
 }
 
-func railsBase() *RailsReport {
-	return &RailsReport{Schema: RailsSchema, Runs: []RailsRun{{
-		Rails: 2, Policy: "round-robin",
-		Points:      []RailsPoint{{Size: 4096, MBps: 500}, {Size: 16384, MBps: 700}},
-		WallSeconds: 1.0,
-	}}}
-}
-
-// TestCompareRailsContract pins the rails gate to the same contract as the
-// engine gate: exact simulated bandwidth, wall within tolerance, and no
-// silent admission of unvetted rail counts.
-func TestCompareRailsContract(t *testing.T) {
-	cur := railsBase()
-	if errs := CompareRailsReports(railsBase(), cur, 0.5); len(errs) != 0 {
-		t.Errorf("identical report must pass: %v", errs)
-	}
-
-	cur = railsBase()
-	cur.Runs[0].Points[1].MBps = 699
-	if errs := CompareRailsReports(railsBase(), cur, 0.5); len(errs) != 1 ||
-		!strings.Contains(errs[0].Error(), "size=16384") {
-		t.Errorf("bandwidth divergence must fail naming the size: %v", errs)
-	}
-
-	cur = railsBase()
-	cur.Runs[0].WallSeconds = 2.0
-	if errs := CompareRailsReports(railsBase(), cur, 0.5); len(errs) != 1 {
-		t.Errorf("100%% wall regression at 50%% tolerance must fail: %v", errs)
-	}
-
-	cur = railsBase()
-	cur.Runs = append(cur.Runs, RailsRun{Rails: 8, Policy: "round-robin",
-		Points: []RailsPoint{{Size: 4096, MBps: 900}}})
-	errs := CompareRailsReports(railsBase(), cur, 0.5)
-	if len(errs) != 1 || !strings.Contains(errs[0].Error(), "missing from baseline") {
-		t.Errorf("unvetted rail count must fail the gate: %v", errs)
-	}
+func TestBaselinesRoundTrip(t *testing.T) {
+	roundTrip[EngineRun](t, "../../BENCH_engine.json")
+	roundTrip[RailsRun](t, "../../BENCH_rails.json")
+	roundTrip[CollRun](t, "../../BENCH_coll.json")
 }

@@ -19,6 +19,15 @@ const (
 	ClassB Class = 'B'
 )
 
+// ParseClass maps a class name ("S", "A" or "B") to its Class.
+func ParseClass(s string) (Class, error) {
+	switch s {
+	case "S", "A", "B":
+		return Class(s[0]), nil
+	}
+	return 0, fmt.Errorf("nas: unknown class %q (want S, A or B)", s)
+}
+
 // Result is one benchmark execution.
 type Result struct {
 	Name     string
@@ -62,6 +71,21 @@ func Names() []string {
 // SquareOnly reports whether the benchmark requires a square process count
 // (SP and BT, §7: "their results are only shown for 4 nodes").
 func SquareOnly(name string) bool { return name == "sp" || name == "bt" }
+
+// CheckNP validates a rank count against the benchmark's decomposition:
+// SP and BT need a square process grid, every other kernel (and the
+// whole-figure run, name "") a power of two ≥ 2. Other counts would panic
+// deep in a kernel.
+func CheckNP(name string, np int) error {
+	if SquareOnly(name) {
+		if isqrt(np) == 0 {
+			return fmt.Errorf("nas: %s needs a square rank count, got %d", name, np)
+		}
+	} else if np < 2 || np&(np-1) != 0 {
+		return fmt.Errorf("nas: rank count must be a power of two ≥ 2, got %d", np)
+	}
+	return nil
+}
 
 // Run executes one benchmark on a cluster configuration and returns the
 // rank-0 result. Timing excludes setup: ranks synchronize with a barrier,

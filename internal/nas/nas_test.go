@@ -72,6 +72,31 @@ func TestGridFactorizations(t *testing.T) {
 	}
 }
 
+func TestParseClass(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want Class
+		ok   bool
+	}{{"", 0, false}, {"X", 0, false}, {"S", ClassS, true}, {"A", ClassA, true}, {"B", ClassB, true}} {
+		got, err := ParseClass(c.in)
+		if got != c.want || (err == nil) != c.ok {
+			t.Errorf("ParseClass(%q) = %q, %v; want %q, ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+}
+
+func TestCheckNP(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		np   int
+		ok   bool
+	}{{"cg", 4, true}, {"cg", 3, false}, {"cg", 1, false}, {"", 8, true}, {"sp", 4, true}, {"bt", 9, true}, {"sp", 8, false}} {
+		if err := CheckNP(c.name, c.np); (err == nil) != c.ok {
+			t.Errorf("CheckNP(%q, %d) = %v, want ok=%v", c.name, c.np, err, c.ok)
+		}
+	}
+}
+
 func TestChecksumDetectsCorruption(t *testing.T) {
 	b := make([]byte, 256)
 	fill(b, 42)
