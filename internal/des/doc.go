@@ -3,11 +3,11 @@
 // reports (the paper itself, conf_ipps_LiuJWPABGT04, measures wall-clock
 // microseconds on real hardware; here simulated time stands in for them).
 //
-// Simulated processes are ordinary goroutines, but the engine steps exactly
-// one of them at a time: a process runs until it blocks on a kernel
+// Simulated processes are coroutines (iter.Pull), and the engine steps
+// exactly one of them at a time: a process runs until it blocks on a kernel
 // primitive (Sleep, Cond.Wait, Queue.Get, Resource.Acquire, ...), at which
-// point control returns to the engine, which advances the simulated clock to
-// the next pending event.
+// point control switches back to the engine, which advances the simulated
+// clock to the next pending event.
 //
 // Layer boundaries: this package is the bottom of the stack. It knows
 // nothing about InfiniBand, MPI or the cost model; internal/model prices

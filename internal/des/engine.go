@@ -1,9 +1,15 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to Go 1.23,
+// which has iter.Pull; go.mod stays at go 1.21 because perfbench/go.mod
+// pins that version.
+
 package des
 
 import (
 	"fmt"
+	"iter"
 	"math"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -13,15 +19,12 @@ import (
 // from the goroutine that calls Run (or from simulated processes, which the
 // engine serializes itself).
 //
-// Dispatch is baton-passing: the event loop runs on whichever goroutine
-// currently holds control — the Run caller (the driver) or a process
-// blocked in a kernel primitive. A process that pauses keeps dispatching
-// events on its own goroutine until one resumes another process (one
-// channel send hands the baton directly, with no trip through a central
-// scheduler goroutine) or resumes the pausing process itself, which costs
-// no channel operation at all. The driver parks on runCh while processes
-// pass the baton among themselves and gets it back when the loop must stop
-// or a process terminates.
+// Dispatch is coroutine-based: every process is an iter.Pull coroutine,
+// and only the driver (the Run caller, or the Group coordinator during a
+// fused instant) pops events. Resuming a process is a direct coroutine
+// switch on the driver's goroutine — no channel, no scheduler trip — and
+// a pausing process whose own wakeup heads the queue takes it inline
+// without switching at all.
 type Engine struct {
 	now       Time
 	q         eventQueue
@@ -29,12 +32,10 @@ type Engine struct {
 	alive     int // spawned non-daemon processes that have not terminated
 	daemons   int // spawned daemon processes that have not terminated
 	procs     []*Proc
-	deadProcs int           // dead entries still in procs; triggers compaction
-	runCh     chan struct{} // returns the baton to the driver
-	deadline  Time          // events after this instant stay queued
+	deadProcs int  // dead entries still in procs; triggers compaction
+	deadline  Time // events after this instant stay queued
 	stopped   bool
 	down      bool
-	panicV    interface{}
 	events    uint64 // total events executed, for stats/tests
 
 	// Lineage keys (the sharded engine's deterministic merge rule, DESIGN.md
@@ -129,14 +130,14 @@ func NewEngine() *Engine { return NewEngineWithQueue(QueueDefault) }
 // the determinism cross-check suites run the same workload under each and
 // assert equal schedule fingerprints.
 func NewEngineWithQueue(kind QueueKind) *Engine {
-	return &Engine{q: newQueue(kind), runCh: make(chan struct{}), curBase: mixKey(rootKey, 0)}
+	return &Engine{q: newQueue(kind), curBase: mixKey(rootKey, 0)}
 }
 
 // Sharded reports whether this engine is a member of a Group, i.e. other
 // engines may run concurrently on other OS threads. Model state that can
 // be reached from a remote shard must lock exactly when this is true —
-// under a lone serial engine the baton-passing dispatch already orders
-// every access, and the locks would be pure hot-path overhead.
+// under a lone serial engine the single dispatching goroutine already
+// orders every access, and the locks would be pure hot-path overhead.
 func (e *Engine) Sharded() bool { return e.group != nil }
 
 // Now returns the current simulated time. On the global engine of a Group
@@ -233,12 +234,12 @@ func (e *Engine) AfterOn(dst *Engine, d Time, fn func()) {
 // Stop makes Run return after the currently executing event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
-// Shutdown terminates every remaining process goroutine and drops the
+// Shutdown terminates every remaining process coroutine and drops the
 // event queue, releasing everything the simulation references. A finished
-// simulation otherwise pins its entire state: daemon goroutines (hardware
-// service engines) park forever on their resume channels and keep nodes,
-// adapters and application buffers reachable. Call Shutdown when a
-// simulation will not be used again; the engine is dead afterwards.
+// simulation otherwise pins its entire state: daemon coroutines (hardware
+// service engines) stay suspended forever and keep nodes, adapters and
+// application buffers reachable. Call Shutdown when a simulation will not
+// be used again; the engine is dead afterwards.
 func (e *Engine) Shutdown() {
 	if g := e.group; g != nil && e == g.global {
 		g.shutdown()
@@ -256,8 +257,12 @@ func (e *Engine) shutdownOne() {
 		if p.dead {
 			continue
 		}
-		p.ch <- struct{}{} // resume; the process observes down and exits
-		<-p.ch
+		// A paused body unwinds (its defers run) and retires itself; a
+		// body whose start event never fired never runs at all.
+		p.stop()
+		if !p.dead {
+			e.retire(p)
+		}
 	}
 	e.procs = nil
 	e.deadProcs = 0
@@ -287,10 +292,23 @@ func (e *Engine) account(ev *event) {
 	}
 }
 
-// runDriver is the dispatch loop on the Run caller's goroutine. Handing a
-// wakeup to a process lends it the baton; the driver parks on runCh until
-// the process chain returns it (a stop condition was reached, or a process
-// terminated — possibly by panic, re-raised here).
+// dispatch runs one accounted event: a closure, or a process wakeup that
+// resumes its process if the wakeup is still current (stale wakeups — the
+// process resumed by another wakeup, or terminated — are dropped). A
+// resumed process runs on the caller's goroutine until it pauses again or
+// terminates; a panic in it is re-raised here.
+func dispatch(ev *event) {
+	if p := ev.proc; p != nil {
+		if !p.dead && p.gen == ev.gen && p.waiting {
+			p.next()
+		}
+		return
+	}
+	ev.fn()
+}
+
+// runDriver is the dispatch loop on the Run caller's goroutine: it pops
+// events up to the deadline until the queue drains or Stop is called.
 func (e *Engine) runDriver() {
 	for !e.stopped {
 		ev, ok := e.q.popLE(e.deadline)
@@ -298,51 +316,8 @@ func (e *Engine) runDriver() {
 			return
 		}
 		e.account(&ev)
-		if p := ev.proc; p != nil {
-			if p.dead || p.gen != ev.gen || !p.waiting {
-				continue
-			}
-			p.ch <- struct{}{}
-			<-e.runCh
-			if e.panicV != nil {
-				v := e.panicV
-				e.panicV = nil
-				panic(v)
-			}
-		} else {
-			ev.fn()
-		}
+		dispatch(&ev)
 	}
-}
-
-// runOn is the dispatch loop on a paused process's goroutine. It returns
-// when p's own wakeup is dispatched: either p pops it itself (no channel
-// operation — the dominant case for sleep/poll cycles) or another holder
-// pops it and sends p the baton. A stop condition hands the baton back to
-// the driver and parks p until its wakeup eventually arrives (a later Run)
-// or Shutdown kills it.
-func (e *Engine) runOn(p *Proc) {
-	for !e.stopped {
-		ev, ok := e.q.popLE(e.deadline)
-		if !ok {
-			break
-		}
-		e.account(&ev)
-		if t := ev.proc; t != nil {
-			if t.dead || t.gen != ev.gen || !t.waiting {
-				continue
-			}
-			if t == p {
-				return
-			}
-			t.ch <- struct{}{}
-			<-p.ch
-			return
-		}
-		ev.fn()
-	}
-	e.runCh <- struct{}{}
-	<-p.ch
 }
 
 // Run dispatches events until the queue drains, Stop is called, or a
@@ -397,16 +372,16 @@ func (e *Engine) deadlockReport() string {
 // Proc is a simulated process. Exactly one Proc executes at any instant;
 // kernel primitives are the only legal blocking points.
 //
-// Control transfers ride each process's unbuffered rendezvous channel, but
-// only when the baton actually changes goroutines: a process that pauses
-// keeps dispatching on its own goroutine (Engine.runOn), so resuming
-// another process costs one send and resuming itself costs nothing. Exactly
-// one goroutine — the driver or one process — runs at any moment, which
-// keeps the shared engine state race-free.
+// The body runs as an iter.Pull coroutine: the driver resumes it with next
+// and it suspends by yielding back (pause). Both are direct coroutine
+// switches on the driver's goroutine, so exactly one body or driver runs
+// at any moment and the shared engine state needs no locks.
 type Proc struct {
 	eng     *Engine
 	name    string
-	ch      chan struct{}
+	next    func() (struct{}, bool) // resume the body until it pauses or ends
+	stop    func()                  // end the coroutine; a paused body unwinds
+	yield   func(struct{}) bool     // suspend the body; false on shutdown
 	dead    bool
 	daemon  bool
 	waiting bool
@@ -445,7 +420,6 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64)
 		eng:     e,
 		name:    name,
 		daemon:  daemon,
-		ch:      make(chan struct{}),
 		waiting: true,
 		where:   "start",
 	}
@@ -455,34 +429,21 @@ func (e *Engine) spawn(name string, body func(p *Proc), daemon bool, key uint64)
 		e.alive++
 	}
 	e.addProc(p)
-	go func() {
-		<-p.ch // wait for the start event
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
 		defer func() {
-			p.dead = true
-			e.deadProcs++
-			if p.daemon {
-				e.daemons--
-			} else {
-				e.alive--
-			}
-			if r := recover(); r != nil {
-				e.panicV = fmt.Sprintf("des: process %q panicked: %v", name, r)
-			}
-			if e.down {
-				p.ch <- struct{}{} // Shutdown handshake
-			} else {
-				e.runCh <- struct{}{} // death returns the baton to the driver
+			e.retire(p)
+			if r := recover(); r != nil && r != (shutdownSignal{}) {
+				panic(fmt.Sprintf("des: process %q panicked: %v", name, r))
 			}
 		}()
-		if !e.down {
-			p.waiting = false
-			p.gen++
-			body(p)
-		}
-	}()
+		p.yield = yield
+		p.waiting = false
+		p.gen++
+		body(p)
+	})
 	// The start is an ordinary wakeup bound to generation 0; Shutdown
-	// before it fires kills the parked goroutine and the event is dropped
-	// with the queue.
+	// before it fires stops the coroutine before the body ever runs, and
+	// the event is dropped with the queue.
 	e.seq++
 	e.q.push(event{at: e.now, key: key, seq: e.seq, proc: p})
 	return p
@@ -509,22 +470,42 @@ func (e *Engine) addProc(p *Proc) {
 	e.procs = append(e.procs, p)
 }
 
+// retire marks p terminated and drops it from the live counts.
+func (e *Engine) retire(p *Proc) {
+	p.dead = true
+	e.deadProcs++
+	if p.daemon {
+		e.daemons--
+	} else {
+		e.alive--
+	}
+}
+
 // procsLen reports the current length of the process table (tests assert
 // compaction keeps it bounded).
 func (e *Engine) procsLen() int { return len(e.procs) }
 
+// shutdownSignal is the panic value that unwinds a paused process body
+// when Shutdown stops its coroutine; the spawn wrapper recovers it, so the
+// body's defers run.
+type shutdownSignal struct{}
+
 // pause blocks the process until a wakeup targeting this pause generation
-// fires. The pausing goroutine becomes the dispatcher (Engine.runOn) rather
-// than handing control anywhere. where labels the block site for deadlock
-// reports.
+// fires. If that wakeup is already the next event the driver would
+// dispatch, the process takes it inline — the dominant sleep/poll case
+// costs no coroutine switch. Otherwise it yields to the driver. A fused
+// instant sets the deadline below its own instant, which disables the
+// inline path there: its events must interleave across engines. where
+// labels the block site for deadlock reports.
 func (p *Proc) pause(where string) {
+	e := p.eng
 	p.where = where
 	p.waiting = true
-	p.eng.runOn(p)
-	if p.eng.down {
-		// Engine shutdown: unwind this goroutine; the spawn defer notifies
-		// the engine.
-		runtime.Goexit()
+	if ev := e.q.peek(); ev != nil && ev.proc == p && ev.gen == p.gen && ev.at <= e.deadline && !e.stopped {
+		own, _ := e.q.pop()
+		e.account(&own)
+	} else if !p.yield(struct{}{}) {
+		panic(shutdownSignal{})
 	}
 	p.waiting = false
 	p.gen++

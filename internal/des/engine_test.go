@@ -2,8 +2,10 @@ package des
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestScheduleOrdering(t *testing.T) {
@@ -253,6 +255,88 @@ func TestProcPanicPropagates(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+// TestShutdownReleasesProcesses checks that Shutdown ends every process,
+// serial and grouped: bodies paused in Sleep, Cond.Wait and
+// Resource.Acquire, and a daemon, unwind with their defers run; processes
+// whose start event never fired are retired without running; the live
+// counts drop to zero; and every coroutine goroutine exits.
+func TestShutdownReleasesProcesses(t *testing.T) {
+	for _, shards := range []int{0, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			var engines []*Engine
+			root := NewEngine()
+			if shards > 0 {
+				g := NewGroup(QueueCalendar, shards, 1000)
+				root = g.Global()
+				engines = g.all
+			} else {
+				engines = []*Engine{root}
+			}
+			var procs []*Proc
+			started, unwound := 0, 0
+			spawn := func(e *Engine, daemon bool, block func(p *Proc)) {
+				body := func(p *Proc) {
+					started++
+					defer func() { unwound++ }()
+					block(p)
+					t.Errorf("%s returned from its blocking call", p.Name())
+				}
+				if daemon {
+					procs = append(procs, e.SpawnDaemon("daemon", body))
+				} else {
+					procs = append(procs, e.Spawn("blocked", body))
+				}
+			}
+			for _, e := range engines {
+				var c Cond
+				r := NewResource(1)
+				spawn(e, false, func(p *Proc) { p.Sleep(Second) })
+				spawn(e, false, func(p *Proc) { c.Wait(p) })
+				spawn(e, false, func(p *Proc) { r.Acquire(p, 1); c.Wait(p) })
+				spawn(e, false, func(p *Proc) { p.Sleep(1); r.Acquire(p, 1) })
+				spawn(e, true, func(p *Proc) {
+					for {
+						p.Sleep(Microsecond)
+					}
+				})
+			}
+			root.RunUntil(10 * Microsecond)
+			if want := 5 * len(engines); started != want {
+				t.Fatalf("%d bodies started, want %d", started, want)
+			}
+			for _, e := range engines {
+				procs = append(procs, e.Spawn("never-started", func(p *Proc) {
+					t.Error("body of a never-started process ran at Shutdown")
+				}))
+			}
+			root.Shutdown()
+			if unwound != started {
+				t.Errorf("%d of %d paused bodies ran their defers", unwound, started)
+			}
+			for _, p := range procs {
+				if !p.dead {
+					t.Errorf("process %s not dead after Shutdown", p.Name())
+				}
+			}
+			for i, e := range engines {
+				if e.alive != 0 || e.daemons != 0 {
+					t.Errorf("engine %d: alive=%d daemons=%d after Shutdown, want 0", i, e.alive, e.daemons)
+				}
+			}
+			// Window drivers signal completion just before their goroutines
+			// exit, so allow them a moment to finish.
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			if n := runtime.NumGoroutine(); n > base {
+				t.Errorf("%d goroutines after Shutdown, baseline %d", n, base)
+			}
+		})
+	}
 }
 
 func TestRunUntil(t *testing.T) {

@@ -1,8 +1,8 @@
 package des
 
 // Sharded execution (DESIGN.md §13). A Group partitions a simulation across
-// N shard engines — each with its own event queue and baton-passing driver,
-// run on its own goroutine — plus one serialized "global" engine for
+// N shard engines — each with its own event queue and driver, run on its
+// own goroutine — plus one serialized "global" engine for
 // cross-shard control work (connection managers, setup). Shards run
 // conservatively in lockstep windows [T, T+lookahead): the fabric guarantees
 // no event crosses shards faster than the lookahead (WireLatency), so
@@ -163,13 +163,14 @@ func (g *Group) run(deadline Time) {
 			break
 		}
 		g.mergeFp(T)
-		if gt, has := g.global.q.next(); has && gt == T {
+		gev := g.global.q.peek()
+		if gev != nil && gev.at == T {
 			g.fusedInstant(T)
 			continue
 		}
 		H := T + g.look
-		if gt, has := g.global.q.next(); has && gt < H {
-			H = gt
+		if gev != nil && gev.at < H {
+			H = gev.at
 		}
 		if deadline != timeMax && H > deadline+1 {
 			H = deadline + 1
@@ -239,8 +240,8 @@ func (g *Group) minNext() (Time, bool) {
 	var t Time
 	ok := false
 	for _, e := range g.all {
-		if n, has := e.q.next(); has && (!ok || n < t) {
-			t, ok = n, true
+		if ev := e.q.peek(); ev != nil && (!ok || ev.at < t) {
+			t, ok = ev.at, true
 		}
 	}
 	return t, ok
@@ -251,48 +252,34 @@ func (g *Group) minNext() (Time, bool) {
 // to the serial engine's interleaving. This is the only phase in which
 // same-instant cross-shard interaction can occur (the global engine's
 // connection management touching shard-owned state), and all shards are
-// parked here, so it is race-free by construction.
+// parked here, so it is race-free by construction. Every deadline sits
+// below T, so a process pausing here never takes its own wakeup inline:
+// each event goes through the key-order merge.
 func (g *Group) fusedInstant(T Time) {
+	defer func() { g.cur = nil }()
 	for _, e := range g.all {
 		if e.now < T {
 			e.now = T
 		}
-		e.deadline = T - 1 // pausing procs dispatch nothing; baton returns here
+		e.deadline = T - 1
 		e.stopped = false
 	}
 	for {
 		var x *Engine
-		var bestKey uint64
+		var best *event
 		for _, e := range g.all {
-			if at, k, ok := e.q.peekKey(); ok && at == T {
-				if x == nil || k < bestKey {
-					x, bestKey = e, k
-				}
+			if ev := e.q.peek(); ev != nil && ev.at == T && (x == nil || ev.key < best.key) {
+				x, best = e, ev
 			}
 		}
 		if x == nil {
-			break
+			return
 		}
-		ev, _ := x.q.popLE(T)
+		ev, _ := x.q.pop()
 		g.cur = x
 		x.account(&ev)
-		if p := ev.proc; p != nil {
-			if p.dead || p.gen != ev.gen || !p.waiting {
-				continue
-			}
-			p.ch <- struct{}{}
-			<-x.runCh
-			if x.panicV != nil {
-				v := x.panicV
-				x.panicV = nil
-				g.cur = nil
-				panic(v)
-			}
-		} else {
-			ev.fn()
-		}
+		dispatch(&ev)
 	}
-	g.cur = nil
 }
 
 // runWindow runs every shard with pending work before H concurrently up to
@@ -302,7 +289,7 @@ func (g *Group) runWindow(H Time) {
 	var wg sync.WaitGroup
 	panics := make([]interface{}, len(g.shards))
 	for i, s := range g.shards {
-		if n, ok := s.q.next(); !ok || n >= H {
+		if ev := s.q.peek(); ev == nil || ev.at >= H {
 			continue
 		}
 		wg.Add(1)

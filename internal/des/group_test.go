@@ -155,6 +155,47 @@ func TestGroupDeadlockReport(t *testing.T) {
 	g.Global().Run()
 }
 
+// TestGroupProcPanicPropagates checks that a panic in a process body
+// surfaces on the Run caller under both sharded dispatch paths: a shard
+// window's driver goroutine, and the coordinator's fused instant (the
+// global engine has an event at the same instant).
+func TestGroupProcPanicPropagates(t *testing.T) {
+	for _, fused := range []bool{false, true} {
+		t.Run(fmt.Sprintf("fused=%v", fused), func(t *testing.T) {
+			g := NewGroup(QueueCalendar, 2, 1000)
+			const at = Time(5000)
+			if fused {
+				g.Global().ScheduleSeeded(Salt(3), at, func() {})
+			}
+			var inFused bool
+			g.Shard(1).SpawnSeeded(Salt(4), "boom", func(p *Proc) {
+				p.Sleep(at)
+				inFused = g.cur != nil
+				panic("kaboom")
+			})
+			g.Shard(0).SpawnSeeded(Salt(5), "bystander", func(p *Proc) {
+				for i := 0; i < 20; i++ {
+					p.Sleep(700)
+				}
+			})
+			defer g.Global().Shutdown()
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("expected the process panic to reach Run")
+				}
+				if msg, want := fmt.Sprint(r), `des: process "boom" panicked: kaboom`; msg != want {
+					t.Errorf("panic %q, want %q", msg, want)
+				}
+				if inFused != fused {
+					t.Errorf("process resumed in a fused instant = %v, want %v", inFused, fused)
+				}
+			}()
+			g.Global().Run()
+		})
+	}
+}
+
 func containsStr(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

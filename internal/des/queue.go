@@ -72,12 +72,12 @@ type eventQueue interface {
 	// popLE pops the earliest pending event if its timestamp is <= max —
 	// the dispatch loop's peek-then-pop fused into one find-min.
 	popLE(max Time) (event, bool)
-	// next returns the timestamp of the earliest pending event.
-	next() (Time, bool)
-	// peekKey returns the timestamp and lineage key of the earliest pending
-	// event without popping it. The Group coordinator uses it to interleave
-	// same-instant events across shard queues in global key order.
-	peekKey() (Time, uint64, bool)
+	// peek returns the earliest pending event without popping it, or nil.
+	// The pointer is valid until the next push or pop. The Group
+	// coordinator uses it to interleave same-instant events across shard
+	// queues in global key order; a pausing process uses it to spot its
+	// own wakeup at the head.
+	peek() *event
 	len() int
 	// clear drops all pending events and releases their references.
 	clear()
@@ -115,18 +115,11 @@ func (h *heapQueue) push(ev event) {
 	}
 }
 
-func (h *heapQueue) next() (Time, bool) {
+func (h *heapQueue) peek() *event {
 	if len(h.evs) == 0 {
-		return 0, false
+		return nil
 	}
-	return h.evs[0].at, true
-}
-
-func (h *heapQueue) peekKey() (Time, uint64, bool) {
-	if len(h.evs) == 0 {
-		return 0, 0, false
-	}
-	return h.evs[0].at, h.evs[0].key, true
+	return &h.evs[0]
 }
 
 func (h *heapQueue) popLE(max Time) (event, bool) {
@@ -352,21 +345,12 @@ func (q *calQueue) locate() (int, int64, bool) {
 	return best, day, true
 }
 
-func (q *calQueue) next() (Time, bool) {
+func (q *calQueue) peek() *event {
 	idx, _, ok := q.locate()
 	if !ok {
-		return 0, false
+		return nil
 	}
-	return q.buckets[idx].min().at, true
-}
-
-func (q *calQueue) peekKey() (Time, uint64, bool) {
-	idx, _, ok := q.locate()
-	if !ok {
-		return 0, 0, false
-	}
-	ev := q.buckets[idx].min()
-	return ev.at, ev.key, true
+	return q.buckets[idx].min()
 }
 
 func (q *calQueue) pop() (event, bool) {

@@ -45,10 +45,11 @@ func applyScript(q eventQueue, ops []queueOp) []event {
 			q.push(event{at: now + op.delta, seq: seq})
 			continue
 		}
-		if at, ok := q.next(); ok {
+		if head := q.peek(); head != nil {
+			at := head.at
 			ev, _ := q.pop()
 			if ev.at != at {
-				panic("next/pop disagree")
+				panic("peek/pop disagree")
 			}
 			now = ev.at
 			out = append(out, ev)
@@ -97,8 +98,8 @@ func TestQueueKindsIdenticalOrder(t *testing.T) {
 func TestCalendarEarlierPushAfterPeek(t *testing.T) {
 	q := newCalQueue()
 	q.push(event{at: Time(Millisecond), seq: 1})
-	if at, ok := q.next(); !ok || at != Time(Millisecond) {
-		t.Fatalf("next = %v, %v; want 1ms", at, ok)
+	if head := q.peek(); head == nil || head.at != Time(Millisecond) {
+		t.Fatalf("peek = %v; want an event at 1ms", head)
 	}
 	q.push(event{at: Time(10), seq: 2})
 	ev, _ := q.pop()
@@ -245,13 +246,39 @@ func BenchmarkEngineScheduleDispatch(b *testing.B) {
 }
 
 // BenchmarkProcHandoff measures one simulated blocking point: a process
-// sleeping zero-length intervals, each iteration one wake event plus one
-// pause/step channel rendezvous.
+// sleeping zero-length intervals, each iteration one wake event that the
+// pausing process takes inline as the queue head (the self-resume path).
 func BenchmarkProcHandoff(b *testing.B) {
 	e := NewEngine()
 	e.Spawn("spinner", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Yield()
+		}
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkProcSwitch measures the dominant real handoff: two processes
+// alternating through Conds, so every pause suspends one process and the
+// driver resumes the other. Each iteration is two process switches.
+func BenchmarkProcSwitch(b *testing.B) {
+	e := NewEngine()
+	var ping, pong Cond
+	turn := 0
+	e.Spawn("ping", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			turn = 1
+			pong.Signal()
+			ping.WaitFor(p, func() bool { return turn == 0 })
+		}
+	})
+	e.Spawn("pong", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			pong.WaitFor(p, func() bool { return turn == 1 })
+			turn = 0
+			ping.Signal()
 		}
 	})
 	b.ReportAllocs()

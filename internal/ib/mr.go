@@ -119,7 +119,7 @@ func (h *HCA) DeregisterMR(p *des.Proc, mr *MR) error {
 // lookupKey resolves a key through one of the adapter's tables and reports
 // whether the MR is still registered, locking only in sharded mode: key
 // validation is the per-verb hot path, and under a lone serial engine the
-// baton-passing dispatch already orders every table access.
+// single dispatching goroutine already orders every table access.
 func (h *HCA) lookupKey(table map[uint32]*MR, key uint32) (*MR, bool) {
 	if !h.shared {
 		mr, ok := table[key]

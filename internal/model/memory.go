@@ -17,8 +17,8 @@ import (
 // sharded execution (SetShared): allocation is always performed by the
 // owning node's shard, but remote requesters resolve RDMA target addresses
 // from their own shard's OS thread. Under a lone serial engine the
-// baton-passing dispatch already orders every access, and Resolve is too
-// hot a path to pay for atomics it does not need.
+// single dispatching goroutine already orders every access, and Resolve is
+// too hot a path to pay for atomics it does not need.
 type Memory struct {
 	mu     sync.RWMutex
 	shared bool
