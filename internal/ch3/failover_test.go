@@ -28,14 +28,23 @@ func fnvSum(b []byte) uint64 {
 	return h
 }
 
-// runRendezvousExchange sends three 256 KiB rendezvous messages from rank
-// 0 to rank 1 under the given config and returns the receiver's payload
-// checksum and the finish time.
-func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took des.Time) {
+// exchangeRun is one rendezvous exchange's outcome: the receiver's payload
+// checksum, the finish time, and the engine's schedule witnesses.
+type exchangeRun struct {
+	sum    uint64
+	took   des.Time
+	events uint64
+	fp     uint64
+}
+
+// rendezvousExchange sends three 256 KiB rendezvous messages from rank 0
+// to rank 1 under the given config, with the engine trace on.
+func rendezvousExchange(t *testing.T, cfg cluster.Config) (r exchangeRun) {
 	t.Helper()
 	cfg.NP = 2
 	c := cluster.MustNew(cfg)
 	defer c.Close()
+	c.Eng.EnableTrace()
 	const size = 256 << 10
 	c.Launch(func(comm *mpi.Comm) {
 		if comm.Rank() == 0 {
@@ -51,10 +60,18 @@ func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took d
 		buf, b := comm.Alloc(size)
 		for round := 0; round < 3; round++ {
 			comm.Recv2(buf, 0, 9)
-			sum = sum*1099511628211 ^ fnvSum(b)
+			r.sum = r.sum*1099511628211 ^ fnvSum(b)
 		}
 	})
-	return sum, c.Now()
+	r.took, r.events, r.fp = c.Now(), c.Eng.EventsExecuted(), c.Eng.TraceFingerprint()
+	return r
+}
+
+// runRendezvousExchange is rendezvousExchange reduced to the receiver's
+// payload checksum and the finish time.
+func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took des.Time) {
+	r := rendezvousExchange(t, cfg)
+	return r.sum, r.took
 }
 
 // sweepRailLoss runs the exchange failure-free, then replays it with one
