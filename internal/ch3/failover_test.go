@@ -75,30 +75,28 @@ func runRendezvousExchange(t *testing.T, cfg cluster.Config) (sum uint64, took d
 }
 
 // sweepRailLoss runs the exchange failure-free, then replays it with one
-// rail downed at offsets sweeping the whole transfer, checking the
-// checksum every time.
+// rail downed at offsets sweeping the whole transfer in twelfths,
+// checking the checksum every time.
 func sweepRailLoss(t *testing.T, mk func(plan *fault.Plan) cluster.Config, rail int) {
-	sweepRailLossWith(t, mk, rail, runRendezvousExchange)
+	sweepRailLossWith(t, mk, rail, 12, runRendezvousExchange)
 }
 
-// sweepRailLossWith is sweepRailLoss over an arbitrary workload runner.
-func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, rail int,
+// sweepRailLossWith is sweepRailLoss over an arbitrary workload runner,
+// stepping the failure instant in steps equal parts of the transfer.
+func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, rail, steps int,
 	run func(*testing.T, cluster.Config) (uint64, des.Time)) {
 	want, took := run(t, mk(&fault.Plan{}))
 	if want == 0 {
 		t.Fatal("degenerate failure-free checksum")
 	}
-	step := took / 12
+	step := took / des.Time(steps)
 	if step <= 0 {
 		t.Fatalf("transfer too short to sweep: %v", took)
 	}
 	for off := des.Time(0); off <= took+step; off += step {
 		off := off
 		t.Run(fmt.Sprintf("down@%v", off), func(t *testing.T) {
-			got, _ := run(t, mk(&fault.Plan{Events: []fault.Event{
-				{At: off, Kind: fault.HCADown, Node: 0, Rail: rail},
-				{At: off, Kind: fault.HCADown, Node: 1, Rail: rail},
-			}}))
+			got, _ := run(t, mk(railDown(off, rail)))
 			if got != want {
 				t.Fatalf("rail %d down at %v corrupted the transfer: checksum %#x, want %#x",
 					rail, off, got, want)
@@ -111,9 +109,12 @@ func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, r
 // lives on — at every protocol window of a rendezvous sequence: the
 // connection must re-dial onto rail 1 and resend whatever the outage ate,
 // wherever it struck (RTS posted but CTS not yet back, CTS back but the
-// data write in flight, FIN pending, refill in progress).
+// data write in flight, FIN pending, refill in progress). The sweep steps
+// in 97ths of the transfer: coarser steps never land inside a rendezvous
+// write (the failed-write restart) or between a re-announced RTS and its
+// answer (the duplicate-RTS re-advertisement).
 func TestSRQRailLossSweep(t *testing.T) {
-	sweepRailLoss(t, func(plan *fault.Plan) cluster.Config {
+	sweepRailLossWith(t, func(plan *fault.Plan) cluster.Config {
 		return cluster.Config{
 			Transport:    cluster.TransportZeroCopy,
 			ConnectMode:  cluster.ConnectLazy,
@@ -121,7 +122,7 @@ func TestSRQRailLossSweep(t *testing.T) {
 			Chan:         rdmachan.Config{UseSRQ: true},
 			Fault:        plan,
 		}
-	}, 0)
+	}, 0, 97, runRendezvousExchange)
 }
 
 // TestChunkStripeRailLossSweep kills rail 1 under the chunk transport's
@@ -132,6 +133,20 @@ func TestChunkStripeRailLossSweep(t *testing.T) {
 	sweepRailLoss(t, func(plan *fault.Plan) cluster.Config {
 		return cluster.Config{
 			Transport:    cluster.TransportZeroCopy,
+			RailsPerNode: 2,
+			Fault:        plan,
+		}
+	}, 1)
+}
+
+// TestCH3StripeRailLossSweep kills rail 1 under the direct CH3 design's
+// striped rendezvous writes: the receiver's advertisement must skip a
+// dead rail, and a stripe whose write fails must be re-written over
+// rail 0 before the FIN goes out.
+func TestCH3StripeRailLossSweep(t *testing.T) {
+	sweepRailLoss(t, func(plan *fault.Plan) cluster.Config {
+		return cluster.Config{
+			Transport:    cluster.TransportCH3,
 			RailsPerNode: 2,
 			Fault:        plan,
 		}
@@ -187,7 +202,7 @@ func TestRDMADirectRailLossSweep(t *testing.T) {
 			Chan:         rdmachan.Config{UseSRQ: true},
 			Fault:        plan,
 		}
-	}, 0, runDirectAllreduceWindow)
+	}, 0, 12, runDirectAllreduceWindow)
 }
 
 // TestSRQRefillUnderRailFlap drives an eager burst through a deliberately
