@@ -1,41 +1,54 @@
 // Package ch3 models MPICH2's CH3 layer (§3.1 of conf_ipps_LiuJWPABGT04):
 // the packet protocol between the transport abstraction
-// (internal/transport) and the byte or packet carriers below. One packet
-// engine — Conn — frames every MPI message as a 64-byte header plus
-// payload and implements transport.Endpoint in two modes, mirroring the
-// paper's comparison in §6:
+// (internal/transport) and the byte or packet carriers below. Every MPI
+// message is a 64-byte header plus payload; large messages take the
+// CH3-level InfiniBand rendezvous of Figure 12 — RTS → CTS → RDMA write
+// into the receiver's registered user buffer → FIN.
 //
-//   - Over-channel mode (NewOverChannel) adapts any RDMA Channel endpoint
-//     to message semantics — the paper's main line of work, where the whole
-//     transport fits behind the five-function put/get pipe. Rendezvous for
-//     large messages — when the endpoint is the zero-copy design — happens
-//     invisibly below the pipe abstraction (§5).
-//   - Direct mode (NewIBConn) is the CH3-level InfiniBand design
-//     (Figure 12): the same eager chunk ring for small messages, but large
-//     messages negotiate RTS → CTS and move by RDMA *write* into the
-//     receiver's registered user buffer, finishing with a FIN packet. On a
-//     multi-rail connection the payload stripes over the rails in
-//     ChunkSize units of signaled writes; the FIN waits for the striping
-//     completion counter (DESIGN.md §10).
+// One rendezvous core (rndv.go) implements that protocol once: request
+// ids, send and receive state, the CTS advertisement, the payload writes
+// and their completions, the FIN. Two carriers move its packets and
+// implement transport.Endpoint:
 //
-// A third endpoint, SRQConn, carries the same packet protocol over
-// two-sided sends into a per-process shared receive pool (DESIGN.md §9) —
-// the connection-scalable eager mode.
+//   - Conn frames packets over an RDMA Channel byte pipe. Over-channel
+//     mode (NewOverChannel) has no rendezvous at all — large messages are
+//     the pipe's business, the zero-copy design handling them below the
+//     five-function abstraction (§5). Direct mode (NewIBConn) carries the
+//     core over the pipelined chunk ring, writing payloads on the ring's
+//     raw rails (rdmachan.RawAccess, whose one consumer this is).
+//   - SRQConn carries packets as two-sided sends into the process's
+//     shared receive pool (DESIGN.md §9), a connection of one queue pair
+//     on one rail; on a resilient pool it retains packets, re-dials a
+//     broken connection and dedupes re-announced RTSs (DESIGN.md §11).
+//
+// The core reaches a carrier only through the carrier and railSet
+// interfaces — queue a packet, post a routed signaled write, report a
+// send with no surviving rail; rail count, liveness, queue pairs and
+// pin-down caches — and never asks which carrier it serves.
 //
 // Layer boundaries: ch3 moves packets; it owns no matching logic. The
 // transport engine above decides eager vs rendezvous and resolves
-// envelopes to buffers; rdmachan/ib below move bytes. Direct mode is the
-// one consumer of rdmachan.RawAccess.
+// envelopes to buffers; rdmachan/ib below move bytes.
 //
 // Invariants:
 //
 //   - One send state machine per connection: control packets (CTS, FIN)
 //     win over data at message boundaries, so rendezvous answers never
 //     starve behind bulk traffic — but a packet is never interleaved
-//     mid-message.
-//   - Single-rail rendezvous orders payload-then-FIN by RC ordering on one
-//     queue pair; multi-rail rendezvous orders them by counted
-//     completions, because no ordering exists across queue pairs.
-//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS;
-//     single-rail headers are byte-identical to the historical format.
+//     mid-message. RTS and eager packets share one queue, preserving MPI
+//     envelope order.
+//   - RC ordering: where write completions do not reach the core (a
+//     single-rail ring, whose completion hook belongs to one-sided windows
+//     and RDMA-direct collectives, or a non-resilient SRQ connection), the
+//     payload is one unsignaled write on rail 0 with the FIN queued behind
+//     it on the same queue pair.
+//   - Completion counter: otherwise the payload moves as signaled writes —
+//     ChunkSize stripes round-robin over the advertised live rails — and
+//     the FIN is queued only when every write has completed successfully,
+//     because no ordering exists across queue pairs. A failed stripe is
+//     re-written over a surviving advertised rail; with none left the
+//     send is restored for a fresh RTS, which an SRQ connection re-dials
+//     for and a ring connection reports as an error.
+//   - The fixed 64-byte header carries up to four per-rail rkeys in a CTS,
+//     so a packet's size, and its timing, is the same at any rail count.
 package ch3

@@ -6,6 +6,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/ib"
 	"repro/internal/rdmachan"
+	"repro/internal/regcache"
 	"repro/internal/transport"
 )
 
@@ -52,10 +53,8 @@ type SRQConn struct {
 	onErr func(error)
 
 	threshold int
-	reqSeq    uint64
 
-	sendRndv map[uint64]*rndvSend
-	recvRndv map[uint64]*srqRndvRecv
+	*rndv
 
 	hdrScratch [hdrSize]byte
 
@@ -63,21 +62,18 @@ type SRQConn struct {
 	// packet is retained in unacked until its success completion; an error
 	// completion means the packet definitively never landed, so after the
 	// connection is re-dialed the retained packets are re-queued in their
-	// original order — exactly-once, no duplicates. pendingWrites holds
-	// rendezvous payloads whose (signaled) RDMA write is in flight; a
-	// failed write restores its sendRndv entry so the transfer restarts
+	// original order — exactly-once, no duplicates. A rendezvous write
+	// that fails restores its send in the core, so the transfer restarts
 	// from the RTS. gotRTS suppresses duplicate announcements from a
 	// recovering sender.
-	unacked        []*srqOp
-	staged         int // packets in flight on the current queue pair
-	writesInFlight int // signaled rendezvous writes awaiting completion
-	brokenFlag     bool
-	redialled      bool // a re-dial has been requested for this outage
-	redial         func()
-	nextPool       *rdmachan.SRQPool // set by Reconnect; adopted from Poll
-	nextQP         *ib.QP
-	pendingWrites  map[uint64]*rndvSend
-	gotRTS         map[uint64]bool
+	unacked    []*srqOp
+	staged     int // packets in flight on the current queue pair
+	brokenFlag bool
+	redialled  bool // a re-dial has been requested for this outage
+	redial     func()
+	nextPool   *rdmachan.SRQPool // set by Reconnect; adopted from Poll
+	nextQP     *ib.QP
+	gotRTS     map[uint64]bool
 
 	stats Stats
 }
@@ -91,24 +87,11 @@ type srqOp struct {
 
 	// Resilient mode: the assembled packet bytes, retained for resend (the
 	// user buffer is reusable once onDone ran, so resends use this copy);
-	// rekey marks a CTS whose advertisement must be (re)registered on the
-	// current pool when the packet is built.
+	// rekey marks a CTS advertised when the packet is built, on the pool
+	// current then.
 	pkt      []byte
 	eagerLen int
 	rekey    bool
-}
-
-// srqRndvRecv tracks an accepted rendezvous on the receive side. In
-// resilient mode the registration is deferred to packet build time and
-// remembers its pool: after a re-dial onto a different rail the CTS is
-// re-registered there, and the FIN only releases a registration made on
-// the pool that is still current (one made on a dead rail is abandoned
-// with its adapter).
-type srqRndvRecv struct {
-	mr   *ib.MR
-	done func(p *des.Proc)
-	dst  transport.Buffer
-	pool *rdmachan.SRQPool
 }
 
 // NewSRQPair wires one SRQ-mode connection between two ranks' pools: a
@@ -137,15 +120,28 @@ func newSRQConn(pool *rdmachan.SRQPool, qp *ib.QP, h transport.Handler,
 		sharedPoll: pool.SharedProgress(),
 		resilient:  pool.Resilient(),
 		threshold:  pool.SlotSize() - hdrSize,
-		sendRndv:   make(map[uint64]*rndvSend),
-		recvRndv:   make(map[uint64]*srqRndvRecv),
 	}
+	c.rndv = newRndv(c, srqRail{c}, h, onErr, &c.stats)
 	if pool.Resilient() {
-		c.pendingWrites = make(map[uint64]*rndvSend)
 		c.gotRTS = make(map[uint64]bool)
 	}
 	return c
 }
+
+// srqRail presents an SRQ connection to the rendezvous core as a single
+// rail: its queue pair and its current pool's pin-down cache. The rail
+// never reads as dead — a failed write breaks the connection instead
+// (lost), and recovery re-dials.
+type srqRail struct{ c *SRQConn }
+
+func (r srqRail) NRails() int                      { return 1 }
+func (r srqRail) RailAlive(int) bool               { return true }
+func (r srqRail) RailQP(int) *ib.QP                { return r.c.qp }
+func (r srqRail) RailRegCache(int) *regcache.Cache { return r.c.pool.RegCache() }
+func (r srqRail) StripeUnit() int                  { return r.c.threshold }
+func (r srqRail) StripeCount(int) int              { return 1 }
+func (r srqRail) Resilient() bool                  { return r.c.resilient }
+func (r srqRail) EvictRail(int)                    {}
 
 // SetRedial installs the connection's re-dial trigger (the cluster's lazy
 // connection manager): called at most once per outage, when the connection
@@ -173,8 +169,8 @@ func (c *SRQConn) maybeRedial() {
 	if c.redialled || c.redial == nil || c.nextQP != nil {
 		return
 	}
-	if len(c.ctrlq)+len(c.dataq)+len(c.unacked)+len(c.sendRndv)+
-		len(c.recvRndv)+len(c.pendingWrites) == 0 {
+	if len(c.ctrlq)+len(c.dataq)+len(c.unacked)+len(c.send)+
+		len(c.recv)+len(c.writes) == 0 {
 		return
 	}
 	c.redialled = true
@@ -206,26 +202,21 @@ func (c *SRQConn) adopt(p *des.Proc) {
 	c.ctrlq = append(ctrl, c.ctrlq...)
 	c.dataq = append(data, c.dataq...)
 
-	have := make(map[uint64]bool)
-	for _, op := range c.ctrlq {
-		if op.hdr.kind == pktRTS {
-			have[op.hdr.reqID] = true
-		}
-	}
+	have := make(map[uint64]bool) // RTS packets only ever queue on dataq
 	for _, op := range c.dataq {
 		if op.hdr.kind == pktRTS {
 			have[op.hdr.reqID] = true
 		}
 	}
-	ids := make([]uint64, 0, len(c.sendRndv))
-	for id := range c.sendRndv {
+	ids := make([]uint64, 0, len(c.send))
+	for id := range c.send {
 		if !have[id] {
 			ids = append(ids, id)
 		}
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		rs := c.sendRndv[id]
+		rs := c.send[id]
 		c.dataq = append(c.dataq, &srqOp{hdr: header{kind: pktRTS, env: rs.env, reqID: id}})
 	}
 	c.flush(p)
@@ -239,12 +230,6 @@ func (c *SRQConn) QP() *ib.QP { return c.qp }
 
 // Stats returns packet counters.
 func (c *SRQConn) Stats() Stats { return c.stats }
-
-// Pending reports queued-but-incomplete outbound work (diagnostics).
-func (c *SRQConn) Pending() int {
-	return len(c.ctrlq) + len(c.dataq) + len(c.sendRndv) +
-		len(c.unacked) + len(c.pendingWrites)
-}
 
 // Footprint reports the connection's dedicated memory: one queue pair and
 // nothing else — eager buffering lives in the process pool.
@@ -266,158 +251,44 @@ func (c *SRQConn) SendEager(p *des.Proc, env transport.Envelope, payload transpo
 	c.flush(p)
 }
 
-// SendRendezvous implements transport.Endpoint: announce with RTS; the
-// payload moves by RDMA write after the peer's CTS.
-func (c *SRQConn) SendRendezvous(p *des.Proc, env transport.Envelope, payload transport.Buffer,
-	onDone func(p *des.Proc)) {
-	c.stats.RndvSends++
-	c.reqSeq++
-	id := c.reqSeq
-	c.sendRndv[id] = &rndvSend{payload: payload, onDone: onDone, env: env}
-	c.dataq = append(c.dataq, &srqOp{hdr: header{kind: pktRTS, env: env, reqID: id}})
-	c.flush(p)
-}
-
-// AcceptRendezvous implements transport.Endpoint: register the posted
-// receive buffer through the process pin-down cache and advertise it with
-// a CTS packet.
-func (c *SRQConn) AcceptRendezvous(p *des.Proc, reqID uint64, dst transport.Buffer,
-	done func(p *des.Proc)) {
-	if c.resilient {
-		// Registration is deferred to packet build time (rekey): if the
-		// connection re-dials onto another rail before the CTS goes out,
-		// the buffer is registered on the pool that is current then.
-		c.recvRndv[reqID] = &srqRndvRecv{dst: dst, done: done}
-		c.stats.RndvRecvs++
-		c.ctrlq = append(c.ctrlq, &srqOp{hdr: header{kind: pktCTS, reqID: reqID}, rekey: true})
-		c.flush(p)
-		return
-	}
-	cache := c.pool.RegCache()
-	mr, _, err := cache.Register(p, dst.Addr, dst.Len)
-	if err != nil {
-		c.onErr(errf("srq rendezvous register: %w", err))
-		return
-	}
-	c.recvRndv[reqID] = &srqRndvRecv{mr: mr, done: done}
-	c.stats.RndvRecvs++
-	c.ctrlq = append(c.ctrlq, &srqOp{
-		hdr: header{kind: pktCTS, reqID: reqID, raddr: dst.Addr, rkeys: [maxHdrRails]uint32{mr.RKey()}},
-	})
-	c.flush(p)
-}
-
-// handleCTS fires the RDMA write of the payload and queues the FIN. RC
-// ordering puts the FIN behind the payload on the wire; the FIN's own
-// completion then implies the payload landed, so the sender's buffer
-// becomes reusable at the FIN CQE.
-func (c *SRQConn) handleCTS(p *des.Proc, h header) {
-	rs, ok := c.sendRndv[h.reqID]
-	if !ok {
-		if c.resilient {
-			// A stale duplicate: the transfer is already past the CTS
-			// (its write is in flight or done) under an earlier answer.
-			return
-		}
-		c.onErr(errf("srq CTS for unknown rendezvous %d", h.reqID))
-		return
-	}
-	delete(c.sendRndv, h.reqID)
-	cache := c.pool.RegCache()
-	mr, _, err := cache.Register(p, rs.payload.Addr, rs.payload.Len)
-	if err != nil {
-		c.onErr(errf("srq rendezvous source register: %w", err))
-		return
-	}
-	if c.resilient {
-		// Signaled write: the FIN is queued only at the write's success
-		// completion (an error restores the rendezvous for re-announcement
-		// after recovery — the RC ordering shortcut below can't tell
-		// whether a flushed write landed, a counted completion can).
-		id := h.reqID
-		wrid := c.pool.OnCQE(func(q *des.Proc, cqe ib.CQE) { c.writeDone(q, id, cqe) })
-		c.pendingWrites[id] = rs
-		c.writesInFlight++
-		c.qp.PostSend(p, ib.SendWR{
-			WRID: wrid, Op: ib.OpRDMAWrite, Signaled: true,
-			SGL:        []ib.SGE{{Addr: rs.payload.Addr, Len: rs.payload.Len, LKey: mr.LKey()}},
-			RemoteAddr: h.raddr,
-			RKey:       h.rkeys[0],
-		})
-		if err := cache.Release(p, mr); err != nil {
-			c.onErr(errf("srq rendezvous source release: %w", err))
-		}
-		return
-	}
-	c.qp.PostSend(p, ib.SendWR{
-		Op:         ib.OpRDMAWrite,
-		SGL:        []ib.SGE{{Addr: rs.payload.Addr, Len: rs.payload.Len, LKey: mr.LKey()}},
-		RemoteAddr: h.raddr,
-		RKey:       h.rkeys[0],
-	})
-	if err := cache.Release(p, mr); err != nil {
-		c.onErr(errf("srq rendezvous source release: %w", err))
-		return
-	}
-	c.ctrlq = append(c.ctrlq, &srqOp{
-		hdr:    header{kind: pktFIN, reqID: h.reqID},
-		onSent: rs.onDone,
-	})
-	c.flush(p)
-}
-
-// writeDone reaps a resilient rendezvous write completion: on success the
-// payload is in the peer's buffer and the FIN may go out; on error the
-// write never landed (QP error semantics), so the rendezvous re-enters
-// sendRndv and restarts from the RTS once the connection is re-dialed.
-func (c *SRQConn) writeDone(p *des.Proc, id uint64, cqe ib.CQE) {
-	c.writesInFlight--
-	rs, ok := c.pendingWrites[id]
-	if !ok {
-		c.onErr(errf("srq write completion for unknown rendezvous %d", id))
-		return
-	}
-	delete(c.pendingWrites, id)
-	if cqe.Status != ib.StatusSuccess {
-		c.brokenFlag = true
-		c.sendRndv[id] = rs
-		return
-	}
-	c.ctrlq = append(c.ctrlq, &srqOp{
-		hdr:    header{kind: pktFIN, reqID: id},
-		onSent: rs.onDone,
-	})
-	c.flush(p)
-}
-
-// handleFIN completes a rendezvous receive: the payload preceded the FIN
-// on the queue pair, so it is already in the user buffer.
-func (c *SRQConn) handleFIN(p *des.Proc, h header) {
-	rr, ok := c.recvRndv[h.reqID]
-	if !ok {
-		c.onErr(errf("srq FIN for unknown rendezvous %d", h.reqID))
-		return
-	}
-	delete(c.recvRndv, h.reqID)
-	if c.resilient {
-		delete(c.gotRTS, h.reqID)
-		// Release only a registration made on the pool that is still
-		// current; one made on a rail that died is abandoned with its
-		// adapter.
-		if rr.mr != nil && rr.pool == c.pool {
-			if err := c.pool.RegCache().Release(p, rr.mr); err != nil {
-				c.onErr(errf("srq rendezvous dest release: %w", err))
+// queue implements carrier: an RTS joins the data queue (envelope order),
+// CTS and FIN the control queue. A resilient connection advertises a CTS
+// when it builds the packet (rekey), so a re-dial before the CTS goes out
+// registers the buffer on the new pool; otherwise it advertises now. done
+// runs at the packet's completion: a FIN's completion implies the payload
+// before it landed, so the sender's buffer is then reusable.
+func (c *SRQConn) queue(p *des.Proc, h header, done func(p *des.Proc)) {
+	op := &srqOp{hdr: h, onSent: done}
+	q := &c.ctrlq
+	switch h.kind {
+	case pktRTS:
+		q = &c.dataq
+	case pktCTS:
+		if op.rekey = c.resilient; !op.rekey {
+			if err := c.advertise(p, &op.hdr); err != nil {
+				c.onErr(err)
 				return
 			}
 		}
-	} else if err := c.pool.RegCache().Release(p, rr.mr); err != nil {
-		c.onErr(errf("srq rendezvous dest release: %w", err))
-		return
 	}
-	if rr.done != nil {
-		rr.done(p)
-	}
+	*q = append(*q, op)
+	c.flush(p)
 }
+
+// signaled implements carrier: a resilient connection signals its
+// rendezvous writes, since only a counted completion tells whether a write
+// flushed by a failure landed; otherwise RC ordering behind the FIN does.
+func (c *SRQConn) signaled() bool { return c.resilient }
+
+// postWrite implements carrier, routing the completion through the pool.
+func (c *SRQConn) postWrite(p *des.Proc, _ int, id uint64, idx int, wr ib.SendWR) {
+	wr.WRID = c.pool.OnCQE(func(q *des.Proc, cqe ib.CQE) { c.complete(q, id, idx, cqe) })
+	c.qp.PostSend(p, wr)
+}
+
+// lost implements carrier: the write's queue pair is gone; the core
+// restored the send, and the re-dial re-announces it.
+func (c *SRQConn) lost(error) { c.brokenFlag = true }
 
 // flush stages queued packets into the process send pool until it runs out
 // of slots, control packets first. It reports whether anything moved. On a
@@ -480,19 +351,9 @@ func (c *SRQConn) flush(p *des.Proc) bool {
 // buffer; resends reuse the retained copy.
 func (c *SRQConn) buildPkt(p *des.Proc, op *srqOp) error {
 	if op.rekey {
-		rr := c.recvRndv[op.hdr.reqID]
-		if rr == nil {
-			return errf("srq CTS for vanished rendezvous %d", op.hdr.reqID)
+		if err := c.advertise(p, &op.hdr); err != nil {
+			return err
 		}
-		if rr.mr == nil || rr.pool != c.pool {
-			mr, _, err := c.pool.RegCache().Register(p, rr.dst.Addr, rr.dst.Len)
-			if err != nil {
-				return errf("srq rendezvous register: %w", err)
-			}
-			rr.mr, rr.pool = mr, c.pool
-		}
-		op.hdr.raddr = rr.dst.Addr
-		op.hdr.rkeys = [maxHdrRails]uint32{rr.mr.RKey()}
 	}
 	pkt := make([]byte, hdrSize, hdrSize+op.payload.Len)
 	encodeHeader(pkt, op.hdr)
@@ -557,48 +418,47 @@ func (c *SRQConn) HandleSRQPacket(p *des.Proc, pkt []byte) {
 		if sink.Done != nil {
 			sink.Done(p)
 		}
-	case pktRTS:
-		if c.resilient {
-			c.handleRTSResilient(p, h)
+	case pktRTS, pktCTS, pktFIN:
+		if c.resilient && c.dedupe(p, h) {
 			return
 		}
-		c.h.ArriveRTS(p, h.env, c, h.reqID)
-	case pktCTS:
-		c.handleCTS(p, h)
-	case pktFIN:
-		c.handleFIN(p, h)
+		c.dispatch(p, h)
 	default:
 		c.onErr(errf("srq bad packet kind %d", h.kind))
 	}
 }
 
-// handleRTSResilient dispatches an RTS with duplicate suppression: a
-// sender that recovered from a failure re-announces every rendezvous whose
-// CTS answer it never acted on. The first announcement goes to the
-// transport; a duplicate re-advertises the posted buffer with fresh keys —
-// unless a CTS for it is already queued or retained, in which case
-// recovery will (re)send that one.
-func (c *SRQConn) handleRTSResilient(p *des.Proc, h header) {
+// dedupe filters a resilient connection's rendezvous packets, reporting
+// whether it consumed h: a sender that recovered from a failure
+// re-announces every rendezvous whose CTS answer it never acted on. The
+// first announcement goes to the transport; a duplicate re-advertises the
+// posted buffer with fresh keys — unless a CTS for it is already queued or
+// retained, in which case recovery will (re)send that one. A FIN retires
+// the announcement.
+func (c *SRQConn) dedupe(p *des.Proc, h header) bool {
+	switch h.kind {
+	case pktCTS:
+		return false
+	case pktFIN:
+		delete(c.gotRTS, h.reqID)
+		return false
+	}
 	if !c.gotRTS[h.reqID] {
 		c.gotRTS[h.reqID] = true
-		c.h.ArriveRTS(p, h.env, c, h.reqID)
-		return
+		return false
 	}
-	if c.recvRndv[h.reqID] == nil {
-		return // the matching receive is not yet posted; Accept will answer
+	if c.recv[h.reqID] == nil {
+		return true // the matching receive is not yet posted; Accept will answer
 	}
-	for _, op := range c.ctrlq {
-		if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
-			return
+	for _, q := range [][]*srqOp{c.ctrlq, c.unacked} {
+		for _, op := range q {
+			if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
+				return true
+			}
 		}
 	}
-	for _, op := range c.unacked {
-		if op.hdr.kind == pktCTS && op.hdr.reqID == h.reqID {
-			return
-		}
-	}
-	c.ctrlq = append(c.ctrlq, &srqOp{hdr: header{kind: pktCTS, reqID: h.reqID}, rekey: true})
-	c.flush(p)
+	c.queue(p, header{kind: pktCTS, reqID: h.reqID}, nil)
+	return true
 }
 
 // Poll implements transport.Endpoint: advance the shared pool (which
@@ -625,7 +485,7 @@ func (c *SRQConn) Poll(p *des.Proc) bool {
 		// write occupies the wire long past the outage, and its flush
 		// completion lands in the old pool's CQ: switch pools before it
 		// arrives and it is stranded there forever, the rendezvous with it.
-		if c.nextQP != nil && c.staged == 0 && c.writesInFlight == 0 {
+		if c.nextQP != nil && c.staged == 0 && c.inflight == 0 {
 			c.adopt(p)
 			prog = true
 		} else if c.broken() {
