@@ -242,9 +242,6 @@ func (r *rndv) handleCTS(p *des.Proc, h header) {
 // payload.
 func (r *rndv) writeCounted(p *des.Proc, h header, rs *rndvSend) {
 	n := int(h.nRails)
-	if n < 1 {
-		n = 1
-	}
 	if n > r.rails.NRails() {
 		r.fail(errf("CTS advertises %d rails, connection has %d", n, r.rails.NRails()))
 		return

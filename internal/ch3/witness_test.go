@@ -28,8 +28,9 @@ func railDown(at des.Time, rail int) *fault.Plan {
 // The single-rail ring checksum differs from the others: that path
 // completes the send when its FIN is staged, before the unsignaled RDMA
 // write has read the source buffer, so the sender's next-round rewrite
-// leaks into rounds 0 and 1 (ROADMAP, "single-rail direct rendezvous
-// completes early"). The constants pin today's schedule, defect included.
+// leaks into rounds 0 and 1 (ROADMAP, "Fix early completion of
+// single-rail direct rendezvous"). The constants pin the schedule as it
+// stands, defect included.
 func TestRendezvousScheduleWitness(t *testing.T) {
 	srq := rdmachan.Config{UseSRQ: true}
 	cases := []struct {
