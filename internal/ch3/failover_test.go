@@ -109,12 +109,12 @@ func sweepRailLossWith(t *testing.T, mk func(plan *fault.Plan) cluster.Config, r
 // lives on — at every protocol window of a rendezvous sequence: the
 // connection must re-dial onto rail 1 and resend whatever the outage ate,
 // wherever it struck (RTS posted but CTS not yet back, CTS back but the
-// data write in flight, FIN pending, refill in progress). The sweep steps
-// in 97ths of the transfer: coarser steps never land inside a rendezvous
+// data write in flight, FIN pending, refill in progress). A second sweep
+// steps in 97ths of the transfer: twelfths never land inside a rendezvous
 // write (the failed-write restart) or between a re-announced RTS and its
 // answer (the duplicate-RTS re-advertisement).
 func TestSRQRailLossSweep(t *testing.T) {
-	sweepRailLossWith(t, func(plan *fault.Plan) cluster.Config {
+	mk := func(plan *fault.Plan) cluster.Config {
 		return cluster.Config{
 			Transport:    cluster.TransportZeroCopy,
 			ConnectMode:  cluster.ConnectLazy,
@@ -122,7 +122,9 @@ func TestSRQRailLossSweep(t *testing.T) {
 			Chan:         rdmachan.Config{UseSRQ: true},
 			Fault:        plan,
 		}
-	}, 0, 97, runRendezvousExchange)
+	}
+	sweepRailLoss(t, mk, 0)
+	sweepRailLossWith(t, mk, 0, 97, runRendezvousExchange)
 }
 
 // TestChunkStripeRailLossSweep kills rail 1 under the chunk transport's

@@ -236,10 +236,10 @@ func (r *rndv) handleCTS(p *des.Proc, h header) {
 // writeCounted registers the payload on every surviving advertised rail and
 // writes it as signaled ChunkSize stripes round-robin over them — one write
 // when a single rail survives or the payload is below the striping
-// threshold. The FIN waits for the completion counter (complete). It must
-// never ride the eager path concurrently with an unacknowledged write: the
-// ring rail-picks its chunks, and a FIN on another rail would overtake the
-// payload.
+// threshold. The FIN waits for the completion counter (complete): it must
+// never ride the eager path concurrently with an unacknowledged write, as
+// the ring rail-picks its chunks and a FIN on another rail would overtake
+// the payload.
 func (r *rndv) writeCounted(p *des.Proc, h header, rs *rndvSend) {
 	n := int(h.nRails)
 	if n > r.rails.NRails() {
